@@ -1,6 +1,7 @@
 #include "src/array/coerce.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "src/array/series.h"
@@ -36,6 +37,13 @@ Result<DimRange> DeriveRange(const gdk::BAT& dim_vals) {
   vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
   int64_t lo = vals.front();
   int64_t hi = vals.back();
+  // Dimension values materialize as INT (DimRange::Validate); checking the
+  // extremes first also keeps the step arithmetic below in range.
+  if (lo <= gdk::kIntNil || hi > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("dimension values [%lld, %lld] fall outside INT",
+                  static_cast<long long>(lo), static_cast<long long>(hi)));
+  }
   if (vals.size() == 1) return DimRange(lo, 1, lo + 1);
   int64_t step = 0;
   for (size_t i = 1; i < vals.size(); ++i) {

@@ -29,7 +29,8 @@ struct DimRange {
   DimRange(int64_t start_in, int64_t step_in, int64_t stop_in)
       : start(start_in), step(step_in), stop(stop_in) {}
 
-  /// \brief Validate step != 0.
+  /// \brief Validate step != 0 and that every value fits INT (dimension
+  /// columns materialize as INT; INT_MIN is its NULL sentinel).
   Status Validate() const;
 
   /// \brief Number of valid dimension values.

@@ -1,5 +1,8 @@
 #include "src/array/series.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "src/common/string_util.h"
 
 namespace sciql {
@@ -11,6 +14,8 @@ using gdk::PhysType;
 using gdk::ScalarValue;
 
 BATPtr Series(const DimRange& range, size_t repeat_each, size_t repeat_group) {
+  // Validated ranges (DimRange::Validate) hold only INT values, so the
+  // narrowing below is exact.
   auto out = BAT::Make(PhysType::kInt);
   size_t nvals = range.Size();
   auto& v = out->ints();
@@ -97,6 +102,61 @@ Result<gdk::BATPtr> CellPositions(
 
 namespace {
 
+// The inclusive int64 interval of values v with `v op bound`; false when no
+// int64 satisfies it.
+bool ValueInterval(gdk::CmpOp op, const ScalarValue& bound, int64_t* lo,
+                   int64_t* hi) {
+  *lo = std::numeric_limits<int64_t>::min();
+  *hi = std::numeric_limits<int64_t>::max();
+  // A comparison with NULL never holds. The calc kernels read an operand
+  // equal to its type's nil sentinel (INT_MIN, BIGINT_MIN) as NULL too; a
+  // NaN double bound fails the rounding below.
+  if (bound.is_null ||
+      (bound.type == PhysType::kInt && bound.i == gdk::kIntNil) ||
+      (bound.type == PhysType::kLng && bound.i == gdk::kLngNil)) {
+    return false;
+  }
+  switch (op) {
+    case gdk::CmpOp::kEq:
+      return gdk::LowerBoundLng(bound, true, lo) &&
+             gdk::UpperBoundLng(bound, true, hi);
+    case gdk::CmpOp::kLt:
+      return gdk::UpperBoundLng(bound, false, hi);
+    case gdk::CmpOp::kLe:
+      return gdk::UpperBoundLng(bound, true, hi);
+    case gdk::CmpOp::kGt:
+      return gdk::LowerBoundLng(bound, false, lo);
+    case gdk::CmpOp::kGe:
+      return gdk::LowerBoundLng(bound, true, lo);
+    case gdk::CmpOp::kNe:
+      break;
+  }
+  return false;
+}
+
+// Narrow the index interval [*ilo, *ihi] of `range` (size n > 0) to the
+// positions whose values lie in [lo, hi]. False when it becomes empty.
+bool NarrowIndexInterval(const DimRange& range, size_t n, int64_t lo,
+                         int64_t hi, size_t* ilo, size_t* ihi) {
+  int64_t first = range.start;
+  int64_t last = range.ValueAt(n - 1);
+  // Clamp to the values the dimension holds: every difference below is
+  // then non-negative and within INT's span (DimRange::Validate).
+  lo = std::max(lo, std::min(first, last));
+  hi = std::min(hi, std::max(first, last));
+  if (lo > hi) return false;
+  uint64_t st = range.step > 0 ? static_cast<uint64_t>(range.step)
+                               : ~static_cast<uint64_t>(range.step) + 1;
+  // Values ascend with the index for a positive step, descend otherwise.
+  auto near = static_cast<uint64_t>(range.step > 0 ? lo - first : first - hi);
+  auto far = static_cast<uint64_t>(range.step > 0 ? hi - first : first - lo);
+  size_t a = static_cast<size_t>(near / st + (near % st != 0 ? 1 : 0));  // ceil
+  size_t b = static_cast<size_t>(far / st);                              // floor
+  *ilo = std::max(*ilo, a);
+  *ihi = std::min(*ihi, b);
+  return *ilo <= *ihi;
+}
+
 // Typed scatter: same physical type on both sides writes directly into the
 // dense array, skipping per-row scalar boxing.
 template <typename T>
@@ -120,6 +180,60 @@ Status ScatterTyped(gdk::BAT* attr, const gdk::BAT& positions,
 }
 
 }  // namespace
+
+Result<gdk::BATPtr> SlabPositions(const ArrayDesc& desc,
+                                  const std::vector<DimBound>& bounds) {
+  gdk::Telemetry().dim_slab_selects++;
+  auto out = BAT::Make(PhysType::kOid);
+  size_t nd = desc.ndims();
+  std::vector<size_t> size(nd), lo(nd, 0), hi(nd, 0);
+  for (size_t d = 0; d < nd; ++d) {
+    const DimRange& r = desc.dims()[d].range;
+    SCIQL_RETURN_NOT_OK(r.Validate());
+    size[d] = r.Size();
+    if (size[d] == 0) return out;
+    hi[d] = size[d] - 1;
+  }
+  if (nd == 0) return out;
+  for (const DimBound& b : bounds) {
+    if (b.dim >= nd || b.op == gdk::CmpOp::kNe) {
+      return Status::Internal("SlabPositions: bad dimension bound");
+    }
+    if (!b.bound.is_null && !gdk::IsNumeric(b.bound.type)) {
+      return Status::TypeMismatch("slab bounds must be numeric");
+    }
+    int64_t vlo, vhi;
+    if (!ValueInterval(b.op, b.bound, &vlo, &vhi) ||
+        !NarrowIndexInterval(desc.dims()[b.dim].range, size[b.dim], vlo,
+                             vhi, &lo[b.dim], &hi[b.dim])) {
+      return out;
+    }
+  }
+  // Row-major walk: the last dimension varies fastest, so emitting each
+  // innermost run in index order yields ascending oids — a scan's order.
+  std::vector<size_t> strides = desc.Strides();
+  size_t total = 1;
+  for (size_t d = 0; d < nd; ++d) total *= hi[d] - lo[d] + 1;
+  auto& oids = out->oids();
+  oids.reserve(total);
+  std::vector<size_t> idx = lo;
+  size_t inner = nd - 1;
+  while (true) {
+    size_t base = 0;
+    for (size_t d = 0; d < inner; ++d) base += idx[d] * strides[d];
+    for (size_t i = lo[inner]; i <= hi[inner]; ++i) {
+      oids.push_back(static_cast<gdk::oid_t>(base + i * strides[inner]));
+    }
+    size_t d = inner;
+    while (d > 0 && idx[d - 1] == hi[d - 1]) {
+      idx[d - 1] = lo[d - 1];
+      --d;
+    }
+    if (d == 0) break;
+    ++idx[d - 1];
+  }
+  return out;
+}
 
 Status ScatterIntoAttr(gdk::BAT* attr, const gdk::BAT& positions,
                        const gdk::BAT& values) {

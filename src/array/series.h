@@ -14,6 +14,7 @@
 #include "src/array/descriptor.h"
 #include "src/common/result.h"
 #include "src/gdk/bat.h"
+#include "src/gdk/kernels.h"
 
 namespace sciql {
 namespace array {
@@ -41,6 +42,24 @@ gdk::BATPtr MaterializeDim(const ArrayDesc& desc, size_t d);
 /// relative cell addressing.
 Result<gdk::BATPtr> CellPositions(const ArrayDesc& desc,
                                   const std::vector<const gdk::BAT*>& dim_vals);
+
+/// \brief One dimension predicate `dims()[dim] op bound` of a slab.
+struct DimBound {
+  size_t dim = 0;
+  gdk::CmpOp op = gdk::CmpOp::kEq;  ///< kEq/kLt/kLe/kGt/kGe; never kNe
+  gdk::ScalarValue bound;           ///< numeric or NULL
+};
+
+/// \brief The cells whose dimension values satisfy every bound, as ascending
+/// oids: the rows a scan of the dimension columns would select, computed by
+/// index arithmetic in O(cells selected) instead of O(cells in the array).
+///
+/// Each bound becomes an exact inclusive int64 value interval (comparisons
+/// against a DOUBLE round like the scan's promoted compare; a NULL bound
+/// selects nothing), which maps onto an index interval of the dimension for
+/// either step sign; off-grid values and empty intersections yield no cells.
+Result<gdk::BATPtr> SlabPositions(const ArrayDesc& desc,
+                                  const std::vector<DimBound>& bounds);
 
 /// \brief Scatter row values into an attribute BAT at given cell positions
 /// (nil positions are skipped). Implements array INSERT-as-overwrite and

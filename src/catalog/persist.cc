@@ -74,34 +74,6 @@ Result<BATPtr> GetBat(ByteReader* r) {
   return BAT::ImportTail(t, payload, count);
 }
 
-// Overflow-safe dimension extent (DimRange::Size computes stop - start in
-// int64, which a hostile range can overflow). False means the range itself
-// is malformed.
-bool CheckedDimSize(const array::DimDesc& d, uint64_t* out) {
-  int64_t step = d.range.step;
-  if (step == 0) return false;
-  uint64_t span, ustep;
-  if (step > 0) {
-    if (d.range.stop <= d.range.start) {
-      *out = 0;
-      return true;
-    }
-    span = static_cast<uint64_t>(d.range.stop) -
-           static_cast<uint64_t>(d.range.start);  // exact: wraps mod 2^64
-    ustep = static_cast<uint64_t>(step);
-  } else {
-    if (d.range.stop >= d.range.start) {
-      *out = 0;
-      return true;
-    }
-    span = static_cast<uint64_t>(d.range.start) -
-           static_cast<uint64_t>(d.range.stop);
-    ustep = ~static_cast<uint64_t>(step) + 1;  // -step without INT64_MIN UB
-  }
-  *out = span / ustep + (span % ustep != 0 ? 1 : 0);
-  return true;
-}
-
 // Hard plausibility cap on imported array geometry: materializing the
 // dimension BATs of a deserialized array allocates ncells values per
 // dimension, so an (unchecksummed v1) image with a bit-flipped range could
@@ -222,10 +194,13 @@ Status DeserializeCatalog(Catalog* cat, const std::string& bytes) {
     // corrupt range turn into a giant allocation.
     uint64_t ncells = 1;
     for (const array::DimDesc& d : dims) {
-      uint64_t sz;
-      if (!CheckedDimSize(d, &sz)) {
+      if (d.range.step == 0) {
         return Status::IOError("malformed dimension range in catalog image");
       }
+      // Images written before dimension values were confined to INT may
+      // hold ranges the engine would materialize truncated.
+      SCIQL_RETURN_NOT_OK(d.range.Validate());
+      uint64_t sz = d.range.Size();  // overflow-safe for any int64 range
       if (sz != 0 && ncells > kMaxImportCells / sz) {
         return Status::IOError("implausible array geometry in catalog image");
       }

@@ -113,6 +113,23 @@ Result<CompiledStatement> StatementCompiler::CompileInsert(
   return cs;
 }
 
+Result<Env> StatementCompiler::CompileTargetRows(const sql::Statement& stmt,
+                                                 CompiledStatement* cs) {
+  SelectCompiler sc(&cs->prog, cat_);
+  SCIQL_ASSIGN_OR_RETURN(Env env, sc.ScanObject(cs->target, ""));
+  std::vector<const sql::Expr*> conjuncts;
+  SplitConjuncts(stmt.where.get(), &conjuncts);
+  int pos;
+  SCIQL_RETURN_NOT_OK(sc.CompileWhere(cs->target, conjuncts, &env, &pos));
+  if (pos < 0) {
+    int cnt = cs->prog.EmitR(
+        "sql", "count", {cs->prog.Const(ScalarValue::Str(cs->target))}, "n");
+    pos = cs->prog.EmitR("bat", "dense", {cnt}, "pos");
+  }
+  cs->prog.AddResult("__pos", pos, false);
+  return env;
+}
+
 Result<CompiledStatement> StatementCompiler::CompileUpdate(
     const sql::Statement& stmt) {
   CompiledStatement cs;
@@ -145,28 +162,7 @@ Result<CompiledStatement> StatementCompiler::CompileUpdate(
     }
   }
 
-  SelectCompiler sc(&cs.prog, cat_);
-  SCIQL_ASSIGN_OR_RETURN(Env env, sc.ScanObject(cs.target, ""));
-
-  int pos;
-  if (stmt.where != nullptr) {
-    ExprCompiler comp(&cs.prog, cat_, &env);
-    SCIQL_ASSIGN_OR_RETURN(int bits, comp.Compile(*stmt.where));
-    if (ExprCompiler::IsScalarExpr(*stmt.where)) {
-      SCIQL_ASSIGN_OR_RETURN(int any, env.AnyReg());
-      int cnt = cs.prog.EmitR("bat", "count", {any}, "n");
-      bits = cs.prog.EmitR("batcalc", "const", {bits, cnt}, "p");
-    }
-    pos = cs.prog.EmitR("algebra", "select", {bits}, "pos");
-    for (EnvCol& c : env.cols) {
-      c.reg = cs.prog.EmitR("algebra", "project", {c.reg, pos}, c.name);
-    }
-  } else {
-    int cnt = cs.prog.EmitR(
-        "sql", "count", {cs.prog.Const(ScalarValue::Str(cs.target))}, "n");
-    pos = cs.prog.EmitR("bat", "dense", {cnt}, "pos");
-  }
-  cs.prog.AddResult("__pos", pos, false);
+  SCIQL_ASSIGN_OR_RETURN(Env env, CompileTargetRows(stmt, &cs));
 
   ExprCompiler comp(&cs.prog, cat_, &env);
   for (const auto& [col, e] : stmt.set_clauses) {
@@ -187,24 +183,7 @@ Result<CompiledStatement> StatementCompiler::CompileDelete(
         StrFormat("no such table or array: %s", cs.target.c_str()));
   }
 
-  SelectCompiler sc(&cs.prog, cat_);
-  SCIQL_ASSIGN_OR_RETURN(Env env, sc.ScanObject(cs.target, ""));
-  int pos;
-  if (stmt.where != nullptr) {
-    ExprCompiler comp(&cs.prog, cat_, &env);
-    SCIQL_ASSIGN_OR_RETURN(int bits, comp.Compile(*stmt.where));
-    if (ExprCompiler::IsScalarExpr(*stmt.where)) {
-      SCIQL_ASSIGN_OR_RETURN(int any, env.AnyReg());
-      int cnt = cs.prog.EmitR("bat", "count", {any}, "n");
-      bits = cs.prog.EmitR("batcalc", "const", {bits, cnt}, "p");
-    }
-    pos = cs.prog.EmitR("algebra", "select", {bits}, "pos");
-  } else {
-    int cnt = cs.prog.EmitR(
-        "sql", "count", {cs.prog.Const(ScalarValue::Str(cs.target))}, "n");
-    pos = cs.prog.EmitR("bat", "dense", {cnt}, "pos");
-  }
-  cs.prog.AddResult("__pos", pos, false);
+  SCIQL_RETURN_NOT_OK(CompileTargetRows(stmt, &cs).status());
   return cs;
 }
 

@@ -11,6 +11,7 @@
 
 #include "src/catalog/catalog.h"
 #include "src/common/result.h"
+#include "src/engine/binder.h"
 #include "src/mal/program.h"
 #include "src/sql/ast.h"
 
@@ -57,6 +58,11 @@ class StatementCompiler {
   Result<CompiledStatement> CompileInsert(const sql::Statement& stmt);
   Result<CompiledStatement> CompileUpdate(const sql::Statement& stmt);
   Result<CompiledStatement> CompileDelete(const sql::Statement& stmt);
+  /// UPDATE/DELETE: scan the target, filter it by WHERE and add the
+  /// selected row ids as the `__pos` result column; returns the filtered
+  /// environment the SET expressions compile over.
+  Result<Env> CompileTargetRows(const sql::Statement& stmt,
+                                CompiledStatement* cs);
 
   const catalog::CatalogVersion* cat_;
 };

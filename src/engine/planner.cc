@@ -4,6 +4,7 @@
 
 #include "src/array/tiling.h"
 #include "src/common/string_util.h"
+#include "src/gdk/kernels.h"
 
 namespace sciql {
 namespace engine {
@@ -65,6 +66,53 @@ Result<int64_t> AnchorOffset(const Expr& e, const std::string& dim_name) {
       dim_name.c_str(), e.ToString().c_str()));
 }
 
+// The dimension a column reference names in `env`, or "" when `e` is not a
+// dimension column.
+std::string DimensionOf(const Expr& e, const Env& env) {
+  if (e.kind != Expr::Kind::kColumn) return "";
+  auto idx = env.Resolve(e.table, e.column);
+  if (!idx.ok() || !env.cols[static_cast<size_t>(*idx)].is_dim) return "";
+  return env.cols[static_cast<size_t>(*idx)].name;
+}
+
+// A bound array.slab accepts: a numeric literal or NULL. The parser folds
+// the negation of a numeric literal, so a unary minus survives only over
+// NULL, which it leaves NULL.
+bool SlabBound(const Expr& e, ScalarValue* out) {
+  const Expr* lit = &e;
+  if (e.kind == Expr::Kind::kUnary && e.un_op == gdk::UnOp::kNeg) {
+    lit = e.children[0].get();
+  }
+  if (lit->kind != Expr::Kind::kLiteral) return false;
+  const ScalarValue& v = lit->literal;
+  if (v.type != gdk::PhysType::kInt && v.type != gdk::PhysType::kLng &&
+      v.type != gdk::PhysType::kDbl) {
+    return false;
+  }
+  if (lit != &e && !v.is_null) return false;
+  *out = v;
+  return true;
+}
+
+// The comparison array.slab evaluates for `dim op bound`, or nullptr.
+// `mirrored` reads the conjunct as `bound op dim`.
+const char* SlabCmp(gdk::BinOp op, bool mirrored) {
+  switch (op) {
+    case gdk::BinOp::kEq:
+      return "==";
+    case gdk::BinOp::kLt:
+      return mirrored ? ">" : "<";
+    case gdk::BinOp::kLe:
+      return mirrored ? ">=" : "<=";
+    case gdk::BinOp::kGt:
+      return mirrored ? "<" : ">";
+    case gdk::BinOp::kGe:
+      return mirrored ? "<=" : ">=";
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 Result<Env> SelectCompiler::ScanObject(const std::string& name,
@@ -90,8 +138,9 @@ Result<Env> SelectCompiler::ScanObject(const std::string& name,
   return env;
 }
 
-Status SelectCompiler::ApplyFilter(Env* env, int bits_reg, bool bits_scalar,
-                                   std::vector<int>* extra_aligned) {
+Result<int> SelectCompiler::ApplyFilter(Env* env, int bits_reg,
+                                        bool bits_scalar,
+                                        std::vector<int>* extra_aligned) {
   int bits = bits_reg;
   if (bits_scalar) {
     // Broadcast a constant predicate over the current row set.
@@ -107,6 +156,90 @@ Status SelectCompiler::ApplyFilter(Env* env, int bits_reg, bool bits_scalar,
     for (int& r : *extra_aligned) {
       r = prog_->EmitR("algebra", "project", {r, cands}, "agg");
     }
+  }
+  return cands;
+}
+
+Result<int> SelectCompiler::CompileSlab(
+    const std::string& object, const Env& env,
+    const std::vector<const Expr*>& conjuncts,
+    std::vector<const Expr*>* residual) {
+  std::vector<int> args = {prog_->Const(ScalarValue::Str(object))};
+  auto add = [&](const std::string& dim, const char* cmp,
+                 const ScalarValue& bound) {
+    args.push_back(prog_->Const(ScalarValue::Str(dim)));
+    args.push_back(prog_->Const(ScalarValue::Str(cmp)));
+    args.push_back(prog_->Const(bound));
+  };
+  for (const Expr* c : conjuncts) {
+    ScalarValue lo, hi;
+    if (c->kind == Expr::Kind::kBetween && !c->negated) {
+      std::string dim = DimensionOf(*c->children[0], env);
+      if (!dim.empty() && SlabBound(*c->children[1], &lo) &&
+          SlabBound(*c->children[2], &hi)) {
+        add(dim, ">=", lo);
+        add(dim, "<=", hi);
+        continue;
+      }
+    } else if (c->kind == Expr::Kind::kBinary &&
+               SlabCmp(c->bin_op, false) != nullptr) {
+      const Expr& l = *c->children[0];
+      const Expr& r = *c->children[1];
+      std::string dim = DimensionOf(l, env);
+      if (!dim.empty() && SlabBound(r, &lo)) {
+        add(dim, SlabCmp(c->bin_op, false), lo);
+        continue;
+      }
+      dim = DimensionOf(r, env);
+      if (!dim.empty() && SlabBound(l, &lo)) {
+        add(dim, SlabCmp(c->bin_op, true), lo);
+        continue;
+      }
+    }
+    residual->push_back(c);
+  }
+  if (args.size() == 1) return -1;
+  return prog_->EmitR("array", "slab", args, "slab");
+}
+
+Status SelectCompiler::CompileWhere(const std::string& object,
+                                    const std::vector<const Expr*>& conjuncts,
+                                    Env* env, int* pos) {
+  std::vector<const Expr*> residual;
+  int slab = -1;
+  if (!object.empty() && gdk::Controls().use_index_paths &&
+      cat_->IsArray(object)) {
+    SCIQL_ASSIGN_OR_RETURN(slab,
+                           CompileSlab(object, *env, conjuncts, &residual));
+  } else {
+    residual = conjuncts;
+  }
+  if (slab >= 0) {
+    for (EnvCol& c : env->cols) {
+      c.reg = prog_->EmitR("algebra", "project", {c.reg, slab}, c.name);
+    }
+  }
+  int cands = -1;
+  if (!residual.empty()) {
+    ExprCompiler comp(prog_, cat_, env);
+    int acc = -1;
+    bool acc_scalar = true;
+    for (const Expr* c : residual) {
+      if (ExprCompiler::ContainsAggregate(*c)) {
+        return Status::BindError("aggregates are not allowed in WHERE");
+      }
+      SCIQL_ASSIGN_OR_RETURN(int r, comp.Compile(*c));
+      acc = acc < 0 ? r : prog_->EmitR("batcalc", "and", {acc, r}, "p");
+      acc_scalar = acc_scalar && ExprCompiler::IsScalarExpr(*c);
+    }
+    SCIQL_ASSIGN_OR_RETURN(cands, ApplyFilter(env, acc, acc_scalar, nullptr));
+  }
+  if (pos != nullptr) {
+    // The residual selects among the slab's rows: compose to scan row ids.
+    *pos = slab < 0    ? cands
+           : cands < 0 ? slab
+                       : prog_->EmitR("algebra", "project", {slab, cands},
+                                      "pos");
   }
   return Status::OK();
 }
@@ -379,25 +512,16 @@ Result<Env> SelectCompiler::Compile(const sql::SelectStmt& sel) {
         acc = acc < 0 ? r : prog_->EmitR("batcalc", "and", {acc, r}, "p");
         acc_scalar = acc_scalar && ExprCompiler::IsScalarExpr(*c);
       }
-      SCIQL_RETURN_NOT_OK(ApplyFilter(&env, acc, acc_scalar, &agg_regs));
+      SCIQL_RETURN_NOT_OK(
+          ApplyFilter(&env, acc, acc_scalar, &agg_regs).status());
       for (size_t i = 0; i < aggs.size(); ++i) agg_map[aggs[i]] = agg_regs[i];
     }
   } else {
-    // Plain WHERE filter.
-    if (!residual.empty()) {
-      ExprCompiler comp(prog_, cat_, &env);
-      int acc = -1;
-      bool acc_scalar = true;
-      for (const Expr* c : residual) {
-        if (ExprCompiler::ContainsAggregate(*c)) {
-          return Status::BindError("aggregates are not allowed in WHERE");
-        }
-        SCIQL_ASSIGN_OR_RETURN(int r, comp.Compile(*c));
-        acc = acc < 0 ? r : prog_->EmitR("batcalc", "and", {acc, r}, "p");
-        acc_scalar = acc_scalar && ExprCompiler::IsScalarExpr(*c);
-      }
-      SCIQL_RETURN_NOT_OK(ApplyFilter(&env, acc, acc_scalar, nullptr));
-    }
+    // Plain WHERE filter; over a single base array, dimension conjuncts
+    // become a slab (joins and subqueries have no cell geometry to use).
+    bool base_array = sel.from.size() == 1 && sel.from[0].subquery == nullptr;
+    SCIQL_RETURN_NOT_OK(CompileWhere(base_array ? ToLower(sel.from[0].name) : "",
+                                     residual, &env, nullptr));
 
     if (value_group) {
       const auto& keys = sel.group_by->keys;
@@ -486,7 +610,7 @@ Result<Env> SelectCompiler::Compile(const sql::SelectStmt& sel) {
       for (const Expr* a : aggs) aligned.push_back(agg_map[a]);
       // In the value-group case agg outputs are aligned with groups (the
       // current env); in the tiling case with anchors (also the env).
-      SCIQL_RETURN_NOT_OK(ApplyFilter(&env, bits, scalar, &aligned));
+      SCIQL_RETURN_NOT_OK(ApplyFilter(&env, bits, scalar, &aligned).status());
       for (size_t i = 0; i < aggs.size(); ++i) agg_map[aggs[i]] = aligned[i];
     }
   }

@@ -39,6 +39,17 @@ class SelectCompiler {
   /// (dimensions first for arrays). Also used by the DML compilers.
   Result<Env> ScanObject(const std::string& name, const std::string& alias);
 
+  /// \brief Filter `env` in place by the AND of `conjuncts` (WHERE of a
+  /// SELECT, UPDATE or DELETE). When `env` is the plain scan of array
+  /// `object` (pass "" otherwise) and index paths are on
+  /// (gdk::Controls().use_index_paths), every `dimension cmp literal`
+  /// conjunct compiles into one array.slab and the rest filter the slab's
+  /// rows. If `pos` is non-null it receives the register of the selected
+  /// row ids of the scan, or -1 when `conjuncts` is empty.
+  Status CompileWhere(const std::string& object,
+                      const std::vector<const sql::Expr*>& conjuncts,
+                      Env* env, int* pos);
+
  private:
   /// FROM: scans and joins; returns the base environment and the conjuncts
   /// of WHERE not consumed by equi-joins.
@@ -46,9 +57,16 @@ class SelectCompiler {
                           std::vector<const sql::Expr*>* residual);
 
   /// Filter `env` in place by a predicate (bit BAT -> candidates ->
-  /// projection of every column).
-  Status ApplyFilter(Env* env, int bits_reg, bool bits_scalar,
-                     std::vector<int>* extra_aligned);
+  /// projection of every column); returns the candidates register.
+  Result<int> ApplyFilter(Env* env, int bits_reg, bool bits_scalar,
+                          std::vector<int>* extra_aligned);
+
+  /// Split the conjuncts array.slab answers off `conjuncts` (into
+  /// *residual the rest) and emit the slab over array `object`; returns its
+  /// register, or -1 when no conjunct qualifies.
+  Result<int> CompileSlab(const std::string& object, const Env& env,
+                          const std::vector<const sql::Expr*>& conjuncts,
+                          std::vector<const sql::Expr*>* residual);
 
   /// Structural grouping: compute tile aggregates (cell-aligned).
   Status CompileTiling(const sql::SelectStmt& sel, const Env& env,

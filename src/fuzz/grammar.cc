@@ -41,10 +41,19 @@ struct TableInfo {
   size_t rows = 0;
 };
 
+// One generated dimension: `n` values start, start + step, ...
+struct DimInfo {
+  int64_t start = 0;
+  int64_t step = 1;
+  int64_t n = 0;
+
+  int64_t Value(int64_t i) const { return start + i * step; }
+};
+
 struct ArrayInfo {
   std::string name;
-  int nx = 0;
-  int ny = 0;
+  DimInfo x;
+  DimInfo y;
 };
 
 class Generator {
@@ -118,11 +127,16 @@ class Generator {
     if (opts_.arrays && rng_.Chance(0.7)) {
       ArrayInfo ai;
       ai.name = "g0";
-      ai.nx = static_cast<int>(rng_.Range(2, 6));
-      ai.ny = static_cast<int>(rng_.Range(2, 6));
-      Setup(fc, StrFormat("CREATE ARRAY %s (x INT DIMENSION[0:1:%d], "
-                          "y INT DIMENSION[0:1:%d], v INT DEFAULT 0)",
-                          ai.name.c_str(), ai.nx, ai.ny));
+      ai.x = GenDim();
+      ai.y = GenDim();
+      auto range = [](const DimInfo& d) {
+        return StrFormat("[%lld:%lld:%lld]", (long long)d.start,
+                         (long long)d.step, (long long)d.Value(d.n));
+      };
+      Setup(fc, StrFormat("CREATE ARRAY %s (x INT DIMENSION%s, "
+                          "y INT DIMENSION%s, v INT DEFAULT 0)",
+                          ai.name.c_str(), range(ai.x).c_str(),
+                          range(ai.y).c_str()));
       const char* fills[] = {"x * 7 + y", "x - y", "(x + y) MOD 3",
                              "x * y - 2"};
       Setup(fc, StrFormat("UPDATE %s SET v = %s", ai.name.c_str(),
@@ -130,10 +144,117 @@ class Generator {
       if (rng_.Chance(0.5)) {
         Setup(fc, StrFormat("UPDATE %s SET v = v + %lld WHERE x = %lld",
                             ai.name.c_str(), (long long)rng_.Range(1, 9),
-                            (long long)rng_.Below((uint64_t)ai.nx)));
+                            (long long)DimLiteral(ai.x)));
+      }
+      // Window DML: cell-range updates and hole punching.
+      if (rng_.Chance(0.4)) {
+        Setup(fc, StrFormat("UPDATE %s SET v = v * 2 WHERE %s",
+                            ai.name.c_str(), WindowPredicate(ai).c_str()));
+      }
+      if (rng_.Chance(0.3)) {
+        Setup(fc, StrFormat("DELETE FROM %s WHERE %s", ai.name.c_str(),
+                            WindowPredicate(ai).c_str()));
       }
       arrays_.push_back(ai);
     }
+  }
+
+  // Mostly the classic 0-based unit grid; otherwise an offset start, step 2
+  // or a descending step (DIMENSION[10:-2:0]).
+  DimInfo GenDim() {
+    DimInfo d;
+    d.n = rng_.Range(2, 6);
+    switch (rng_.Below(5)) {
+      case 0:
+        d.start = rng_.Range(-4, 4);
+        break;
+      case 1:
+        d.start = rng_.Range(-3, 3);
+        d.step = 2;
+        break;
+      case 2:
+        d.start = 10;
+        d.step = -2;
+        break;
+      default:
+        break;
+    }
+    return d;
+  }
+
+  // A value near the dimension: on its grid, just off it, or past an end.
+  int64_t DimLiteral(const DimInfo& d) {
+    int64_t v = d.Value(rng_.Range(-1, d.n));
+    return rng_.Chance(0.2) ? v + 1 : v;
+  }
+
+  // One conjunct bounding dimension `var`: the shapes a slab answers
+  // (either operand order, BETWEEN, decimal, NULL, far and extreme bounds).
+  std::string DimConjunct(const char* var, const DimInfo& d) {
+    long long a = (long long)DimLiteral(d);
+    long long b = (long long)DimLiteral(d);
+    static const char* kCmp[] = {"=", "<", "<=", ">", ">="};
+    const char* cmp = kCmp[rng_.Below(5)];
+    switch (rng_.Below(9)) {
+      case 0:
+        return StrFormat("%s BETWEEN %lld AND %lld", var, std::min(a, b),
+                         std::max(a, b));
+      case 1:
+        return StrFormat("%lld %s %s", a, cmp, var);
+      case 2:
+        return StrFormat("%s %s %lld.5", var, cmp, a);
+      case 3:
+        return rng_.Chance(0.5) ? StrFormat("%s = NULL", var)
+                                : StrFormat("%s BETWEEN %lld AND NULL", var, a);
+      case 4: {
+        static const char* kFar[] = {"1000", "-1000", "3000000000",
+                                     "-9223372036854775808",
+                                     "9223372036854775807", "-2147483648"};
+        return StrFormat("%s %s %s", var, cmp, kFar[rng_.Below(6)]);
+      }
+      default:
+        return StrFormat("%s %s %lld", var, cmp, a);
+    }
+  }
+
+  // A WHERE over the array's cells: one or two bounds per dimension, at
+  // times joined by an attribute conjunct the slab leaves as a filter.
+  std::string WindowPredicate(const ArrayInfo& a) {
+    std::vector<std::string> parts;
+    if (rng_.Chance(0.8)) parts.push_back(DimConjunct("x", a.x));
+    if (rng_.Chance(0.3)) parts.push_back(DimConjunct("x", a.x));
+    if (parts.empty() || rng_.Chance(0.6)) {
+      parts.push_back(DimConjunct("y", a.y));
+    }
+    if (rng_.Chance(0.35)) {
+      switch (rng_.Below(3)) {
+        case 0:
+          parts.push_back(StrFormat("v > %lld", (long long)rng_.Range(-5, 20)));
+          break;
+        case 1:
+          parts.push_back(StrFormat("v <> %lld", (long long)rng_.Range(-5, 20)));
+          break;
+        default:
+          parts.push_back(StrFormat("(y = %lld OR x = %lld)",
+                                    (long long)DimLiteral(a.y),
+                                    (long long)DimLiteral(a.x)));
+          break;
+      }
+    }
+    std::string out;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (i > 0) out += " AND ";
+      out += parts[i];
+    }
+    return out;
+  }
+
+  // `var` shifted by k grid steps, as a tile or cell-reference index.
+  static std::string Shift(const char* var, const DimInfo& d, int64_t k) {
+    int64_t off = k * d.step;
+    if (off == 0) return var;
+    return StrFormat("%s%s%lld", var, off > 0 ? "+" : "-",
+                     (long long)(off > 0 ? off : -off));
   }
 
   void Setup(FuzzCase* fc, std::string sql) {
@@ -486,17 +607,21 @@ class Generator {
 
   void GenArrayQuery(FuzzStatement* q) {
     const ArrayInfo& a = arrays_[rng_.Below(arrays_.size())];
-    if (rng_.Chance(0.6)) {
+    double pick = rng_.NextDouble();
+    if (pick < 0.45) {
       // Structural (tiling) aggregation; the tile is anchored per cell, so
-      // the result is cell-aligned and order-free across paths.
+      // the result is cell-aligned and order-free across paths. Tile
+      // offsets are whole grid steps.
       static const char* kAggs[] = {"SUM", "MIN", "MAX", "COUNT", "AVG"};
       const char* agg = kAggs[rng_.Below(5)];
       int kx = (int)rng_.Range(1, 3);
       int ky = (int)rng_.Range(1, 3);
       bool anchored = rng_.Chance(0.4);  // [x-1:x+k] style neighbourhoods
-      std::string tile =
-          anchored ? StrFormat("%s[x-1:x+%d][y-1:y+%d]", a.name.c_str(), kx, ky)
-                   : StrFormat("%s[x:x+%d][y:y+%d]", a.name.c_str(), kx, ky);
+      int lo = anchored ? -1 : 0;
+      std::string tile = StrFormat(
+          "%s[%s:%s][%s:%s]", a.name.c_str(), Shift("x", a.x, lo).c_str(),
+          Shift("x", a.x, kx).c_str(), Shift("y", a.y, lo).c_str(),
+          Shift("y", a.y, ky).c_str());
       std::string sql = StrFormat(
           "SELECT [x], [y], %s(v) AS c0 FROM %s GROUP BY %s", agg,
           a.name.c_str(), tile.c_str());
@@ -507,11 +632,11 @@ class Generator {
             break;
           case 1:
             sql += StrFormat(" HAVING x = %lld AND y = %lld",
-                             (long long)rng_.Below((uint64_t)a.nx),
-                             (long long)rng_.Below((uint64_t)a.ny));
+                             (long long)DimLiteral(a.x),
+                             (long long)DimLiteral(a.y));
             break;
           default:
-            sql += StrFormat(" HAVING y > %lld", (long long)rng_.Below(2));
+            sql += StrFormat(" HAVING y > %lld", (long long)DimLiteral(a.y));
             break;
         }
       }
@@ -519,16 +644,29 @@ class Generator {
         sql += rng_.Chance(0.5) ? " ORDER BY x DESC" : " ORDER BY x, y";
       }
       q->sql = std::move(sql);
-    } else {
+    } else if (pick < 0.65) {
       // Relative cell references (shift-style neighbour access).
-      std::string cell = rng_.Chance(0.5)
-                             ? StrFormat("%s[x-1][y]", a.name.c_str())
-                             : StrFormat("%s[x][y-1]", a.name.c_str());
+      std::string cell =
+          rng_.Chance(0.5)
+              ? StrFormat("%s[%s][y]", a.name.c_str(),
+                          Shift("x", a.x, -1).c_str())
+              : StrFormat("%s[x][%s]", a.name.c_str(),
+                          Shift("y", a.y, -1).c_str());
       std::string sql = StrFormat(
           "SELECT [x], [y], v - %s AS c0 FROM %s WHERE x %s %lld",
           cell.c_str(), a.name.c_str(), rng_.Chance(0.5) ? ">" : "=",
-          (long long)rng_.Below((uint64_t)a.nx));
+          (long long)DimLiteral(a.x));
       q->sql = std::move(sql);
+    } else {
+      // Dimension windows: cell reads and cut-outs the planner answers by
+      // position (array.slab) except on the index-free path.
+      std::string where = WindowPredicate(a);
+      q->sql = rng_.Chance(0.25)
+                   ? StrFormat("SELECT COUNT(*) AS c0, SUM(v) AS c1 FROM %s "
+                               "WHERE %s",
+                               a.name.c_str(), where.c_str())
+                   : StrFormat("SELECT x, y, v FROM %s WHERE %s",
+                               a.name.c_str(), where.c_str());
     }
   }
 

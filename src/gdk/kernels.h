@@ -41,6 +41,16 @@ Result<BATPtr> RangeSelect(const BAT& b, const BAT* cands,
 /// \brief Positions where b is (not) nil.
 Result<BATPtr> NullSelect(const BAT& b, const BAT* cands, bool select_null);
 
+/// \brief The smallest int64 `v` with `v >= bound` (`incl`) or `v > bound`,
+/// computed exactly: integer bounds never pass through a double and double
+/// bounds round with ceil, so 64-bit values compare precisely beyond 2^53.
+/// Returns false when no int64 qualifies (a NaN or too-large bound).
+bool LowerBoundLng(const ScalarValue& bound, bool incl, int64_t* out);
+
+/// \brief The largest int64 `v` with `v <= bound` (`incl`) or `v < bound`;
+/// mirror of LowerBoundLng with floor.
+bool UpperBoundLng(const ScalarValue& bound, bool incl, int64_t* out);
+
 // ---------------------------------------------------------------------------
 // Projection
 // ---------------------------------------------------------------------------
@@ -256,6 +266,7 @@ struct KernelTelemetry {
   std::atomic<uint64_t> order_index_reused_multi{0};
   std::atomic<uint64_t> order_index_reversed{0};  ///< run-reversal serves
   std::atomic<uint64_t> order_index_reversed_multi{0};
+  std::atomic<uint64_t> dim_slab_selects{0};  ///< cell sets from array.slab
 
   KernelTelemetry() = default;
   KernelTelemetry(const KernelTelemetry&) = delete;
@@ -287,12 +298,13 @@ struct TelemetrySnapshot {
   uint64_t order_index_reused_multi = 0;
   uint64_t order_index_reversed = 0;
   uint64_t order_index_reversed_multi = 0;
+  uint64_t dim_slab_selects = 0;
 };
 
 /// \brief One entry of the counter catalog: the stable field name plus
 /// member pointers into both the live struct and the snapshot, so capture,
 /// accumulation and metric registration all iterate one table instead of
-/// hand-listing 17 fields.
+/// hand-listing every field.
 struct TelemetryField {
   const char* name;
   const char* help;

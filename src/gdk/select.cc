@@ -183,10 +183,8 @@ BATPtr RangeSelectViaIndex(const std::vector<T>& data,
 // outside the int64 range.
 constexpr double kTwo63 = 9223372036854775808.0;
 
-// The smallest int64 `v` with `v >= bound` (inclusive) or `v > bound`.
-// Computed exactly: integer-typed bounds never pass through a double, and
-// double bounds round with ceil before the cast, so 64-bit columns compare
-// precisely even beyond 2^53. Returns false when no int64 qualifies.
+}  // namespace
+
 bool LowerBoundLng(const ScalarValue& bound, bool incl, int64_t* out) {
   if (bound.type != PhysType::kDbl) {
     int64_t v = bound.AsInt64();
@@ -218,8 +216,6 @@ bool LowerBoundLng(const ScalarValue& bound, bool incl, int64_t* out) {
   return true;
 }
 
-// The largest int64 `v` with `v <= bound` (inclusive) or `v < bound`;
-// mirror of LowerBoundLng with floor.
 bool UpperBoundLng(const ScalarValue& bound, bool incl, int64_t* out) {
   if (bound.type != PhysType::kDbl) {
     int64_t v = bound.AsInt64();
@@ -247,8 +243,6 @@ bool UpperBoundLng(const ScalarValue& bound, bool incl, int64_t* out) {
   *out = v;
   return true;
 }
-
-}  // namespace
 
 Result<BATPtr> RangeSelect(const BAT& b, const BAT* cands,
                            const ScalarValue& lo, const ScalarValue& hi,

@@ -365,6 +365,8 @@ const std::vector<TelemetryField>& TelemetryFields() {
       {"order_index_reversed_multi", "run reversals that were multi-key",
        &KernelTelemetry::order_index_reversed_multi,
        &TelemetrySnapshot::order_index_reversed_multi},
+      {"dim_slab_selects", "dimension predicates answered by array.slab",
+       &KernelTelemetry::dim_slab_selects, &TelemetrySnapshot::dim_slab_selects},
   };
   return *fields;
 }

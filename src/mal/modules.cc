@@ -83,6 +83,16 @@ Result<AggOp> AggOpFromName(const std::string& s) {
   return Status::Internal("unknown aggregate: " + s);
 }
 
+Result<gdk::CmpOp> CmpOpFromName(const std::string& op) {
+  if (op == "==") return gdk::CmpOp::kEq;
+  if (op == "!=") return gdk::CmpOp::kNe;
+  if (op == "<") return gdk::CmpOp::kLt;
+  if (op == "<=") return gdk::CmpOp::kLe;
+  if (op == ">") return gdk::CmpOp::kGt;
+  if (op == ">=") return gdk::CmpOp::kGe;
+  return Status::Internal("bad comparison op " + op);
+}
+
 // ---------------------------------------------------------------------------
 // algebra
 // ---------------------------------------------------------------------------
@@ -207,14 +217,7 @@ void RegisterAlgebra(MalEngine* e) {
                 SCIQL_ASSIGN_OR_RETURN(BATPtr b, BatArg(ctx, in, 0));
                 SCIQL_ASSIGN_OR_RETURN(std::string op, StrArg(ctx, in, 1));
                 SCIQL_ASSIGN_OR_RETURN(ScalarValue v, ScalarArg(ctx, in, 2));
-                gdk::CmpOp cmp;
-                if (op == "==") cmp = gdk::CmpOp::kEq;
-                else if (op == "!=") cmp = gdk::CmpOp::kNe;
-                else if (op == "<") cmp = gdk::CmpOp::kLt;
-                else if (op == "<=") cmp = gdk::CmpOp::kLe;
-                else if (op == ">") cmp = gdk::CmpOp::kGt;
-                else if (op == ">=") cmp = gdk::CmpOp::kGe;
-                else return Status::Internal("bad theta op " + op);
+                SCIQL_ASSIGN_OR_RETURN(gdk::CmpOp cmp, CmpOpFromName(op));
                 SCIQL_ASSIGN_OR_RETURN(
                     BATPtr out, gdk::ThetaSelect(*b, nullptr, cmp, v));
                 SetRet(ctx, in, 0, MalValue::Of(out));
@@ -659,6 +662,37 @@ void RegisterArray(MalEngine* e) {
                 }
                 SCIQL_ASSIGN_OR_RETURN(BATPtr out,
                                        array::CellPositions(*desc, dims));
+                SetRet(ctx, in, 0, MalValue::Of(out));
+                return Status::OK();
+              });
+
+  // array.slab(name, (dim, cmp, bound)*): the cells of the named array whose
+  // dimension values satisfy every `dim cmp bound`, by index arithmetic.
+  // Reads the descriptor from the statement's catalog snapshot, as sql.bind
+  // reads the columns the positions index.
+  e->Register("array.slab",
+              [](MalContext* ctx, const MalProgram&, const MalInstr& in) {
+                if (in.args.empty() || (in.args.size() - 1) % 3 != 0 ||
+                    in.rets.size() != 1) {
+                  return Status::Internal("array.slab arity");
+                }
+                SCIQL_ASSIGN_OR_RETURN(std::string name, StrArg(ctx, in, 0));
+                SCIQL_ASSIGN_OR_RETURN(auto arr, ctx->catalog->GetArray(name));
+                std::vector<array::DimBound> bounds;
+                for (size_t i = 1; i < in.args.size(); i += 3) {
+                  SCIQL_ASSIGN_OR_RETURN(std::string dim, StrArg(ctx, in, i));
+                  SCIQL_ASSIGN_OR_RETURN(std::string op,
+                                         StrArg(ctx, in, i + 1));
+                  array::DimBound b;
+                  int d = arr->desc.DimIndex(dim);
+                  if (d < 0) return Status::NotFound("no dimension " + dim);
+                  b.dim = static_cast<size_t>(d);
+                  SCIQL_ASSIGN_OR_RETURN(b.op, CmpOpFromName(op));
+                  SCIQL_ASSIGN_OR_RETURN(b.bound, ScalarArg(ctx, in, i + 2));
+                  bounds.push_back(std::move(b));
+                }
+                SCIQL_ASSIGN_OR_RETURN(BATPtr out,
+                                       array::SlabPositions(arr->desc, bounds));
                 SetRet(ctx, in, 0, MalValue::Of(out));
                 return Status::OK();
               });

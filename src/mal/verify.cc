@@ -194,6 +194,8 @@ SigTable BuildTable() {
       {{AK::kNum, AK::kNum, AK::kNum, AK::kNum, AK::kNum}, {}, 0, {AK::kBat}});
   add("array.filler", {{AK::kNum, AK::kScalar}, {}, 0, {AK::kBat}});
   add("array.cellpos", {{AK::kObjArray}, {AK::kBat}, 1, {AK::kBat}});
+  add("array.slab",
+      {{AK::kStr}, {AK::kStr, AK::kStr, AK::kScalar}, 1, {AK::kBat}});
   add("array.tileagg",
       {{AK::kObjArray, AK::kObjTile, AK::kStr, AK::kBat}, {}, 0, {AK::kBat}});
   add("array.scatter", {{AK::kStr, AK::kStr, AK::kBat, AK::kVal}, {}, 0, {}});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/array/descriptor.h"
 
 namespace sciql {
@@ -42,6 +44,38 @@ TEST(DimRangeTest, ContainsAndIndexOf) {
 TEST(DimRangeTest, ZeroStepInvalid) {
   EXPECT_FALSE(DimRange(0, 0, 4).Validate().ok());
   EXPECT_TRUE(DimRange(0, 1, 4).Validate().ok());
+}
+
+TEST(DimRangeTest, FarOutOfRangeValuesDoNotOverflow) {
+  // v - start would overflow int64 here; the range check must come first.
+  EXPECT_EQ(DimRange(2, 1, 10).IndexOfOrNeg(-9223372036854775807), -1);
+  EXPECT_EQ(DimRange(2, 1, 10).IndexOfOrNeg(INT64_MIN), -1);
+  EXPECT_EQ(DimRange(-2, -1, -10).IndexOfOrNeg(INT64_MAX), -1);
+  // Extreme but valid geometry: distances beyond INT64_MAX stay exact.
+  DimRange wide(INT64_MIN, 1, INT64_MAX);
+  EXPECT_EQ(wide.IndexOfOrNeg(INT64_MIN + 5), 5);
+  EXPECT_EQ(wide.IndexOfOrNeg(INT64_MAX), -1);  // stop is exclusive
+  EXPECT_EQ(DimRange(INT64_MAX, INT64_MIN, INT64_MIN).IndexOfOrNeg(-1), 1);
+  EXPECT_EQ(DimRange(0, INT64_MAX, INT64_MAX).Size(), 1u);
+  EXPECT_EQ(DimRange(INT64_MAX, INT64_MIN, INT64_MIN).Size(), 2u);
+}
+
+TEST(DimRangeTest, ValuesMustFitInt) {
+  // Dimension values materialize as INT; INT_MIN is the NULL sentinel.
+  EXPECT_TRUE(DimRange(2147483646, 1, 2147483648).Validate().ok());
+  EXPECT_FALSE(DimRange(2147483646, 1, 2147483650).Validate().ok());
+  EXPECT_EQ(DimRange(2147483646, 1, 2147483650).Validate().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_TRUE(DimRange(-2147483647, 1, 0).Validate().ok());
+  EXPECT_FALSE(DimRange(-2147483648, 1, 0).Validate().ok());
+  EXPECT_TRUE(DimRange(0, -1, -2147483648).Validate().ok());
+  EXPECT_FALSE(DimRange(0, -1, -2147483649).Validate().ok());
+  // A stride may step past INT as long as no value lands there.
+  EXPECT_TRUE(DimRange(0, 3000000000, 1).Validate().ok());
+  EXPECT_FALSE(DimRange(0, 3000000000, 3000000001).Validate().ok());
+  EXPECT_TRUE(DimRange(0, INT64_MAX, INT64_MAX).Validate().ok());
+  // Empty ranges have no values to check.
+  EXPECT_TRUE(DimRange(5000000000, 1, 0).Validate().ok());
 }
 
 TEST(DimRangeTest, ToStringMatchesDdl) {

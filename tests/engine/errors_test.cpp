@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/catalog/persist.h"
 #include "src/engine/database.h"
 
 namespace sciql {
@@ -106,6 +107,54 @@ TEST_F(ErrorsTest, DdlErrors) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(CodeOf("CREATE ARRAY bad (x INT DIMENSION[0:1:2])"),
             Status::Code::kOk);  // arrays may have zero attributes
+}
+
+// Dimension values materialize as INT; a range reaching past it used to be
+// accepted and read back truncated (2147483648 came back NULL).
+TEST_F(ErrorsTest, DimensionValuesMustFitInt) {
+  EXPECT_EQ(CodeOf("CREATE ARRAY big (x INT DIMENSION[2147483646:1:2147483650], "
+                   "v INT DEFAULT 1)"),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(CodeOf("CREATE ARRAY low (x INT DIMENSION[-2147483648:1:0])"),
+            Status::Code::kInvalidArgument);  // INT_MIN is the NULL sentinel
+  EXPECT_EQ(CodeOf("CREATE ARRAY edge (x INT DIMENSION[2147483646:1:2147483648], "
+                   "v INT DEFAULT 1)"),
+            Status::Code::kOk);
+  auto rs = db_.Query("SELECT x FROM edge WHERE x > 2147483646");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->NumRows(), 1u);
+  EXPECT_EQ(rs->Value(0, 0).AsInt64(), 2147483647);
+
+  ASSERT_TRUE(db_.Run("CREATE ARRAY g (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")
+                  .ok());
+  EXPECT_EQ(CodeOf("ALTER ARRAY g ALTER DIMENSION x SET RANGE "
+                   "[0:1000000000:4000000000]"),
+            Status::Code::kInvalidArgument);
+
+  // A range derived from BIGINT data by coercion.
+  ASSERT_TRUE(db_.Run("CREATE TABLE t (k BIGINT, v INT)").ok());
+  ASSERT_TRUE(
+      db_.Run("INSERT INTO t VALUES (3000000000, 1), (3000000001, 2)").ok());
+  EXPECT_EQ(CodeOf("CREATE ARRAY d AS SELECT [k], v FROM t"),
+            Status::Code::kInvalidArgument);
+
+  // A catalog image written before the check: DeclareArray skips
+  // validation, standing in for the old engine.
+  Database legacy;
+  ASSERT_TRUE(legacy.catalog()
+                  ->DeclareArray("big", array::ArrayDesc(
+                                            {array::DimDesc{
+                                                "x",
+                                                array::DimRange(2147483646, 1,
+                                                                2147483650),
+                                                false}},
+                                            {}))
+                  .ok());
+  auto bytes = catalog::SerializeCatalog(*legacy.catalog());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Database fresh;
+  EXPECT_EQ(catalog::DeserializeCatalog(fresh.catalog(), *bytes).code(),
+            Status::Code::kInvalidArgument);
 }
 
 TEST_F(ErrorsTest, StatementsAfterErrorDoNotRun) {

@@ -1,6 +1,6 @@
 // Tier-1 smoke sweep of the differential fuzzer (src/fuzz/,
 // docs/fuzzing.md): a fixed seed, ~200 generated queries, every query run
-// down all seven oracle paths with zero tolerated diffs. The accumulated
+// down all eight oracle paths with zero tolerated diffs. The accumulated
 // kernel telemetry is then asserted per path, so this test also *proves*
 // the path matrix exercises what it claims to: the noindex path must never
 // touch an index-aware kernel, the sortslice path must never run firstn,
@@ -44,6 +44,16 @@ TEST(FuzzSmoke, TwoHundredQueriesZeroDiffs) {
   EXPECT_EQ(noindex.firstn_index_window, 0u);
   EXPECT_EQ(noindex.minmax_index, 0u);
   EXPECT_GT(noindex.joins_hash, 0u) << "sweep generated no joins at all?";
+
+  // Dimension-predicate slabs ride the index-path switch: the scan
+  // pipeline is the reference every other path's slabs are diffed against.
+  EXPECT_EQ(noindex.dim_slab_selects, 0u) << "kill switch leaked a slab";
+  for (const PathConfig& p : DefaultPaths()) {
+    if (p.use_index_paths) {
+      EXPECT_GT(rep.telemetry[p.name].dim_slab_selects, 0u)
+          << p.name << " never answered a dimension window by position";
+    }
+  }
 
   const gdk::TelemetrySnapshot& sortslice = rep.telemetry["sortslice-1t"];
   EXPECT_EQ(sortslice.firstn_heap, 0u)

@@ -204,6 +204,34 @@ TEST(MalVerifyTest, PlannerProgramsVerifyClean) {
 // compiled program must verify — the rejected counter staying flat is the
 // assertion (execution outcomes are the differential oracle's business,
 // not this test's).
+// Dimension-predicate slabs: array.slab(name, (dim, cmp, bound)*) plans from
+// reads and DML verify clean; a slab missing its bound is an arity error.
+TEST(MalVerifyTest, SlabPlansVerify) {
+  VerifyScope verify_on;
+  uint64_t rejected_before = VerifyStats().programs_rejected.load();
+  engine::Database db;
+  ASSERT_TRUE(db.Run("CREATE ARRAY g (x INT DIMENSION[0:1:4], "
+                     "y INT DIMENSION[6:-2:0], v INT DEFAULT 0)")
+                  .ok());
+  for (const char* sql :
+       {"SELECT x, y, v FROM g WHERE x >= 1 AND x <= 2 AND 4 > y",
+        "SELECT v FROM g WHERE x = NULL AND y BETWEEN 1 AND 4.5",
+        "SELECT v FROM g WHERE x = 1 AND v > 0", "UPDATE g SET v = x WHERE x = 1",
+        "DELETE FROM g WHERE y = 2 AND v = 1"}) {
+    auto plan = db.ExplainText(sql);
+    ASSERT_TRUE(plan.ok()) << sql;
+    EXPECT_NE(plan->find("array.slab"), std::string::npos) << *plan;
+    EXPECT_TRUE(db.Execute(sql).ok()) << sql;
+  }
+  EXPECT_EQ(VerifyStats().programs_rejected.load(), rejected_before);
+
+  MalProgram prog;
+  auto str = [&prog](const char* v) { return prog.Const(ScalarValue::Str(v)); };
+  int slab = prog.EmitR("array", "slab", {str("g"), str("x"), str("==")}, "s");
+  prog.AddResult("s", slab, false);
+  EXPECT_EQ(Checks(prog), std::vector<std::string>{"arity-mismatch"});
+}
+
 TEST(MalVerifyTest, TwoHundredGeneratedCasesVerifyClean) {
   VerifyScope verify_on;
   uint64_t rejected_before = VerifyStats().programs_rejected.load();

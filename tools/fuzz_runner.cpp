@@ -38,7 +38,7 @@ void PrintTelemetry(const SweepReport& rep) {
     std::printf(
         "  %-14s joins hash=%llu probe=%llu merge=%llu | firstn "
         "window=%llu heap=%llu sort=%llu | minmax_idx=%llu | ordidx "
-        "built=%llu loaded=%llu reused=%llu\n",
+        "built=%llu loaded=%llu reused=%llu | slabs=%llu\n",
         kv.first.c_str(), (unsigned long long)t.joins_hash,
         (unsigned long long)t.joins_indexed_probe,
         (unsigned long long)t.joins_merge,
@@ -48,7 +48,8 @@ void PrintTelemetry(const SweepReport& rep) {
         (unsigned long long)t.minmax_index,
         (unsigned long long)t.order_index_built,
         (unsigned long long)t.order_index_loaded,
-        (unsigned long long)t.order_index_reused);
+        (unsigned long long)t.order_index_reused,
+        (unsigned long long)t.dim_slab_selects);
   }
 }
 
