@@ -29,22 +29,39 @@ uint64_t SumRows(const MalContext& ctx, const std::vector<int>& regs,
 
 }  // namespace
 
+bool OpSig::ArityOk(size_t nargs) const {
+  if (group.empty()) return nargs == fixed.size();
+  if (nargs < fixed.size() + group.size()) return false;
+  return (nargs - fixed.size()) % group.size() == 0;
+}
+
+std::string OpSig::ArityString() const {
+  if (group.empty()) return StrFormat("%zu", fixed.size());
+  return StrFormat("%zu+%zuk (k>=1)", fixed.size(), group.size());
+}
+
+AK OpSig::ArgSpec(size_t i) const {
+  if (i < fixed.size()) return fixed[i];
+  return group[(i - fixed.size()) % group.size()];
+}
+
+bool OpDef::ShapeOk(size_t nargs, size_t nrets) const {
+  for (const OpSig& s : sigs) {
+    if (s.ArityOk(nargs) && s.RetCount() == nrets) return true;
+  }
+  return false;
+}
+
+std::string OpDef::ShapeMismatch(const MalInstr& in) const {
+  const OpSig& s = sigs[0];
+  return "`" + in.name + "` expects " + s.ArityString() +
+         StrFormat(" args and %zu rets, got %zu args and %zu rets",
+                   s.RetCount(), in.args.size(), in.rets.size());
+}
+
 const MalEngine& MalEngine::Global() {
-  static MalEngine* engine = [] {
-    auto* e = new MalEngine();
-    RegisterAllModules(e);
-    return e;
-  }();
-  return *engine;
-}
-
-void MalEngine::Register(const std::string& name, MalFn fn, bool pure) {
-  fns_[name] = std::move(fn);
-  if (!pure) impure_.insert(name);
-}
-
-bool MalEngine::IsPure(const std::string& name) const {
-  return impure_.count(name) == 0;
+  static const MalEngine engine;
+  return engine;
 }
 
 Status MalEngine::Run(const MalProgram& prog, MalContext* ctx) const {
@@ -57,24 +74,22 @@ Status MalEngine::Run(const MalProgram& prog, MalContext* ctx) const {
       ctx->regs[i] = MalValue::Object(r.obj, r.obj_tag);
     }
   }
-  if (ctx->trace == nullptr) {
-    for (const MalInstr& instr : prog.instrs()) {
-      SCIQL_RETURN_NOT_OK(RunInstr(prog, instr, ctx));
-    }
-    return Status::OK();
-  }
-  // Traced run: sample wall time, row counts and the kernel-telemetry
-  // delta around every instruction. The delta is a before/after snapshot
-  // diff of the process-wide counters, never a reset — concurrent sessions
-  // keep their own attribution.
   for (size_t i = 0; i < prog.instrs().size(); ++i) {
     const MalInstr& instr = prog.instrs()[i];
+    if (ctx->trace == nullptr) {
+      SCIQL_RETURN_NOT_OK(RunInstr(instr, ctx));
+      continue;
+    }
+    // Traced step: sample wall time, row counts and the kernel-telemetry
+    // delta around the instruction. The delta is a before/after snapshot
+    // diff of the process-wide counters, never a reset — concurrent
+    // sessions keep their own attribution.
     obs::InstrSample sample;
-    sample.name = instr.Name();
+    sample.name = instr.name;
     sample.in_rows = SumRows(*ctx, instr.args, /*scalar_is_row=*/false);
     gdk::TelemetrySnapshot before = gdk::CaptureTelemetry();
     auto start = std::chrono::steady_clock::now();
-    SCIQL_RETURN_NOT_OK(RunInstr(prog, instr, ctx));
+    SCIQL_RETURN_NOT_OK(RunInstr(instr, ctx));
     sample.micros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
@@ -86,18 +101,23 @@ Status MalEngine::Run(const MalProgram& prog, MalContext* ctx) const {
   return Status::OK();
 }
 
-Status MalEngine::RunInstr(const MalProgram& prog, const MalInstr& instr,
-                           MalContext* ctx) const {
-  auto it = fns_.find(instr.Name());
-  if (it == fns_.end()) {
+Status MalEngine::RunInstr(const MalInstr& instr, MalContext* ctx) const {
+  const OpDef* op = instr.op;
+  if (op == nullptr) {
     return Status::Internal(
-        StrFormat("unknown MAL operation: %s", instr.Name().c_str()));
+        StrFormat("unknown MAL operation: %s", instr.name.c_str()));
   }
-  Status st = it->second(ctx, prog, instr);
+  if (op->kernel == nullptr) {
+    return Status::Internal(
+        StrFormat("%s is display-only and cannot run", instr.name.c_str()));
+  }
+  if (!op->ShapeOk(instr.args.size(), instr.rets.size())) {
+    return Status::Internal(op->ShapeMismatch(instr));
+  }
+  Status st = op->kernel(ctx, instr);
   if (!st.ok()) {
     return Status::ExecError(
-        StrFormat("%s failed: %s", instr.Name().c_str(),
-                  st.ToString().c_str()));
+        StrFormat("%s failed: %s", instr.name.c_str(), st.ToString().c_str()));
   }
   return Status::OK();
 }

@@ -1,14 +1,17 @@
-// The MAL interpreter: dispatches module.fn instructions to registered
-// kernel implementations over a register file (paper Fig. 2, "MAL
-// Interpreter" -> "GDK Kernel").
+// The MAL interpreter: dispatches module.fn instructions to GDK kernels
+// over a register file (paper Fig. 2, "MAL Interpreter" -> "GDK Kernel").
+//
+// Which ops exist, the shapes each accepts and the kernel behind each is
+// one decision, declared once as rows of the op table (OpTable(), defined
+// beside the kernels in modules.cc). MalProgram::Emit resolves each
+// instruction to its row, the verifier checks argument kinds against the
+// row's signatures, and the interpreter checks arity against the same
+// signatures before calling the row's kernel.
 
 #ifndef SCIQL_MAL_INTERPRETER_H_
 #define SCIQL_MAL_INTERPRETER_H_
 
-#include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/catalog/catalog.h"
@@ -39,44 +42,85 @@ struct MalContext {
   MalValue& Reg(int r) { return regs[static_cast<size_t>(r)]; }
 };
 
-/// \brief Signature of a registered MAL operation.
-using MalFn =
-    std::function<Status(MalContext*, const MalProgram&, const MalInstr&)>;
-
-/// \brief Registry + dispatcher of MAL operations.
-///
-/// All modules (algebra, batcalc, group, aggr, array, sql) register their
-/// operations once into the global engine.
-class MalEngine {
- public:
-  /// \brief The process-wide engine with every module registered.
-  static const MalEngine& Global();
-
-  /// \brief Register `module.fn`. Impure ops (catalog writers) must say so;
-  /// the optimizer never folds or eliminates them.
-  void Register(const std::string& name, MalFn fn, bool pure = true);
-
-  /// \brief True if the op has no side effects (safe for DCE/CSE/folding).
-  bool IsPure(const std::string& name) const;
-
-  bool Has(const std::string& name) const { return fns_.count(name) > 0; }
-
-  /// \brief Execute the whole program: loads constants, then runs every
-  /// instruction in order.
-  Status Run(const MalProgram& prog, MalContext* ctx) const;
-
-  /// \brief Execute a single instruction against an existing context.
-  Status RunInstr(const MalProgram& prog, const MalInstr& instr,
-                  MalContext* ctx) const;
-
- private:
-  std::unordered_map<std::string, MalFn> fns_;
-  std::unordered_set<std::string> impure_;
+/// \brief What a signature demands of an argument (or promises of a
+/// return). The verifier tracks values abstractly, so the kinds form a
+/// small lattice rather than full physical types: `kVal` accepts any
+/// runtime value (BAT or scalar), `kScalar` any scalar, `kNum`/`kStr`
+/// specific scalar families, and the object kinds match opaque plan
+/// objects by tag.
+enum class AK {
+  kVal,       // BAT or scalar
+  kBat,       // BAT only
+  kScalar,    // any scalar
+  kNum,       // numeric scalar (bit/int/lng/dbl/oid)
+  kStr,       // string scalar
+  kObjArray,  // opaque object tagged "arraydesc"
+  kObjTile,   // opaque object tagged "tilespec"
 };
 
-/// \brief Called by MalEngine::Global() to install all operations; defined in
-/// modules.cc.
-void RegisterAllModules(MalEngine* engine);
+/// \brief One acceptable shape of an op: `fixed` leading arguments, then,
+/// when `group` is non-empty, one or more repetitions of `group`. Ops with
+/// alternative shapes (algebra.select's optional candidate list) list
+/// several OpSigs.
+struct OpSig {
+  std::vector<AK> fixed;
+  std::vector<AK> group;
+  std::vector<AK> rets;
+  /// Single return whose BAT-vs-scalar shape follows the value arguments
+  /// (batcalc): all-scalar operands give a scalar, any BAT gives a BAT.
+  bool poly_ret = false;
+
+  size_t RetCount() const { return poly_ret ? 1 : rets.size(); }
+  bool ArityOk(size_t nargs) const;
+  /// \brief "3", or "1+2k (k>=1)" for a variadic shape.
+  std::string ArityString() const;
+  AK ArgSpec(size_t i) const;
+};
+
+/// \brief An op's kernel. Dispatch has already checked the instruction's
+/// argument and return counts against the op's signatures; the kernel
+/// checks the values (kinds, ranges) it reads.
+using MalKernel = Status (*)(MalContext* ctx, const MalInstr& in);
+
+/// \brief One row of the op table.
+struct OpDef {
+  std::string module;
+  std::string fn;
+  std::vector<OpSig> sigs;
+  /// Null for the display-only `sql.ddl`, which EXPLAIN renders for DDL
+  /// and nothing executes.
+  MalKernel kernel;
+
+  /// \brief True if some signature takes `nargs` arguments and `nrets`
+  /// returns.
+  bool ShapeOk(size_t nargs, size_t nrets) const;
+  /// \brief "`module.fn` expects N args and M rets, got ..." for an
+  /// instruction ShapeOk rejects.
+  std::string ShapeMismatch(const MalInstr& in) const;
+};
+
+/// \brief Every op the engine knows, in declaration order; defined in
+/// modules.cc beside the kernels.
+const std::vector<OpDef>& OpTable();
+
+/// \brief The row named "module.fn", or null when no row declares it.
+const OpDef* FindOp(const std::string& name);
+
+/// \brief Dispatcher of resolved MAL instructions.
+class MalEngine {
+ public:
+  /// \brief The process-wide engine.
+  static const MalEngine& Global();
+
+  /// \brief Execute the whole program: loads constants, then runs every
+  /// instruction in order, sampling each into `ctx->trace` when one is set.
+  Status Run(const MalProgram& prog, MalContext* ctx) const;
+
+  /// \brief Execute a single instruction against an existing context. Fails
+  /// without dispatching when the op is unknown or display-only, or the
+  /// instruction's shape fits none of its signatures.
+  Status RunInstr(const MalInstr& instr, MalContext* ctx) const;
+};
 
 }  // namespace mal
 }  // namespace sciql

@@ -31,18 +31,18 @@ std::vector<int> IdentityAliases(const MalProgram& prog) {
 
 Status CommonSubexpressionElimination(MalProgram* prog,
                                       OptimizerStats* stats) {
-  const MalEngine& engine = MalEngine::Global();
   std::vector<int> alias = IdentityAliases(*prog);
-  // Key: opcode + canonicalised argument registers.
-  std::map<std::pair<std::string, std::vector<int>>, std::vector<int>> seen;
+  // Key: resolved op + canonicalised argument registers.
+  std::map<std::pair<const OpDef*, std::vector<int>>, std::vector<int>> seen;
   std::vector<MalInstr> kept;
   for (MalInstr in : prog->instrs()) {
     for (int& a : in.args) a = alias[static_cast<size_t>(a)];
-    if (!engine.IsPure(in.Name())) {
+    if (in.op == nullptr) {
+      // Unknown ops share no row to key on; they fail at run time by name.
       kept.push_back(std::move(in));
       continue;
     }
-    auto key = std::make_pair(in.Name(), in.args);
+    auto key = std::make_pair(in.op, in.args);
     auto it = seen.find(key);
     if (it == seen.end()) {
       seen.emplace(std::move(key), in.rets);
@@ -62,8 +62,8 @@ Status CommonSubexpressionElimination(MalProgram* prog,
 
 Status ConstantFold(MalProgram* prog, OptimizerStats* stats) {
   const MalEngine& engine = MalEngine::Global();
-  // Only fold side-effect-free scalar computations in the batcalc module;
-  // anything touching the catalog or BATs stays.
+  // Only fold scalar computations in the batcalc module; anything touching
+  // the catalog or BATs stays.
   MalContext ctx(nullptr);
   ctx.regs.assign(prog->regs().size(), MalValue::None());
   for (size_t i = 0; i < prog->regs().size(); ++i) {
@@ -72,8 +72,8 @@ Status ConstantFold(MalProgram* prog, OptimizerStats* stats) {
   }
   std::vector<MalInstr> kept;
   for (const MalInstr& in : prog->instrs()) {
-    bool foldable = in.module == "batcalc" && in.rets.size() == 1 &&
-                    engine.IsPure(in.Name());
+    bool foldable = in.op != nullptr && in.op->module == "batcalc" &&
+                    in.rets.size() == 1;
     if (foldable) {
       for (int a : in.args) {
         if (!prog->regs()[static_cast<size_t>(a)].is_const &&
@@ -87,7 +87,7 @@ Status ConstantFold(MalProgram* prog, OptimizerStats* stats) {
       kept.push_back(in);
       continue;
     }
-    Status st = engine.RunInstr(*prog, in, &ctx);
+    Status st = engine.RunInstr(in, &ctx);
     if (!st.ok() || !ctx.regs[static_cast<size_t>(in.rets[0])].IsScalar()) {
       // E.g. division by zero: keep the instruction so the error surfaces
       // at execution time with proper context.
@@ -104,16 +104,16 @@ Status ConstantFold(MalProgram* prog, OptimizerStats* stats) {
 }
 
 Status DeadCodeElimination(MalProgram* prog, OptimizerStats* stats) {
-  const MalEngine& engine = MalEngine::Global();
   std::vector<bool> used(prog->regs().size(), false);
   for (const auto& rc : prog->results()) {
     used[static_cast<size_t>(rc.reg)] = true;
   }
-  // Backward sweep: an instruction is live if impure or any result is used.
+  // Backward sweep: every op is pure (writes are applied by the executor,
+  // not by MAL), so an instruction is live iff any of its results is used.
   std::vector<bool> live(prog->instrs().size(), false);
   for (size_t i = prog->instrs().size(); i-- > 0;) {
     const MalInstr& in = prog->instrs()[i];
-    bool needed = !engine.IsPure(in.Name());
+    bool needed = false;
     for (int r : in.rets) {
       if (used[static_cast<size_t>(r)]) needed = true;
     }

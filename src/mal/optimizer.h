@@ -18,14 +18,15 @@ struct OptimizerStats {
   size_t dead_removed = 0;
 };
 
-/// \brief Deduplicate pure instructions with identical opcodes and arguments.
+/// \brief Deduplicate instructions with identical ops and arguments.
 Status CommonSubexpressionElimination(MalProgram* prog, OptimizerStats* stats);
 
-/// \brief Evaluate pure single-result instructions whose arguments are all
-/// scalar constants; replaces the result register with an inline constant.
+/// \brief Evaluate single-result batcalc instructions whose arguments are
+/// all scalar constants; replaces the result register with an inline
+/// constant.
 Status ConstantFold(MalProgram* prog, OptimizerStats* stats);
 
-/// \brief Remove pure instructions none of whose results are used.
+/// \brief Remove instructions none of whose results are used.
 Status DeadCodeElimination(MalProgram* prog, OptimizerStats* stats);
 
 /// \brief The standard pipeline: CSE, folding, DCE (to fixpoint).

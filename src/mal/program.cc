@@ -1,6 +1,9 @@
 #include "src/mal/program.h"
 
+#include <cstring>
+
 #include "src/common/string_util.h"
+#include "src/mal/interpreter.h"
 
 namespace sciql {
 namespace mal {
@@ -14,9 +17,19 @@ int MalProgram::NewReg(const std::string& hint) {
 }
 
 int MalProgram::Const(gdk::ScalarValue v) {
-  // Hash-cons: 'int:7' and 'int:7' share one register.
-  std::string key =
-      std::string(gdk::PhysTypeName(v.type)) + ":" + v.ToString();
+  // Hash-cons on the exact value, not its rendering: DOUBLEs display with
+  // %.6g, so 1.0000001 and 1.00000015 render alike, and 0.0 == -0.0 would
+  // compare equal. A NULL keys on its type alone.
+  ConstKey key(v.type, v.is_null, 0, 0, std::string());
+  if (!v.is_null) {
+    if (v.type == gdk::PhysType::kDbl) {
+      std::memcpy(&std::get<3>(key), &v.d, sizeof(double));
+    } else if (v.type == gdk::PhysType::kStr) {
+      std::get<4>(key) = v.s;
+    } else {
+      std::get<2>(key) = v.i;
+    }
+  }
   auto it = const_pool_.find(key);
   if (it != const_pool_.end()) return it->second;
   Reg r;
@@ -41,7 +54,10 @@ int MalProgram::Obj(std::shared_ptr<const void> obj, const std::string& tag,
 
 void MalProgram::Emit(const std::string& module, const std::string& fn,
                       std::vector<int> rets, std::vector<int> args) {
-  instrs_.push_back(MalInstr{module, fn, std::move(rets), std::move(args)});
+  std::string name = module + "." + fn;
+  const OpDef* op = FindOp(name);
+  instrs_.push_back(
+      MalInstr{op, std::move(name), std::move(rets), std::move(args)});
 }
 
 int MalProgram::EmitR(const std::string& module, const std::string& fn,
@@ -72,7 +88,7 @@ std::string MalProgram::InstrToString(size_t i) const {
     for (int r : in.rets) rets.push_back(RegName(r));
     line += "(" + Join(rets, ", ") + ") := ";
   }
-  line += in.Name() + "(";
+  line += in.name + "(";
   std::vector<std::string> args;
   for (int a : in.args) args.push_back(RegName(a));
   line += Join(args, ", ") + ");";

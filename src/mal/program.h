@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/gdk/types.h"
@@ -16,14 +17,17 @@
 namespace sciql {
 namespace mal {
 
+struct OpDef;
+
 /// \brief One MAL instruction: rets := module.fn(args).
 struct MalInstr {
-  std::string module;
-  std::string fn;
+  /// The op-table row `name` resolved to when emitted, or null when no row
+  /// declares it (the verifier reports it, the interpreter refuses it).
+  const OpDef* op = nullptr;
+  /// "module.fn", kept so unknown ops still render by name.
+  std::string name;
   std::vector<int> rets;
   std::vector<int> args;
-
-  std::string Name() const { return module + "." + fn; }
 };
 
 /// \brief A compiled MAL program plus its register metadata.
@@ -47,15 +51,17 @@ class MalProgram {
 
   /// \brief Fresh variable register with a display name hint.
   int NewReg(const std::string& hint);
-  /// \brief Register holding an inline scalar constant. Equal constants
-  /// share one register (hash-consed), which lets CSE merge duplicate
-  /// instructions over equal literals.
+  /// \brief Register holding an inline scalar constant. Identical constants
+  /// (same type and exact value; DOUBLEs by bit pattern) share one register
+  /// (hash-consed), which lets CSE merge duplicate instructions over equal
+  /// literals.
   int Const(gdk::ScalarValue v);
   /// \brief Register holding an opaque object (tile spec, array descriptor).
   int Obj(std::shared_ptr<const void> obj, const std::string& tag,
           const std::string& display);
 
-  /// \brief Emit rets := module.fn(args).
+  /// \brief Emit rets := module.fn(args), resolving module.fn to its
+  /// op-table row.
   void Emit(const std::string& module, const std::string& fn,
             std::vector<int> rets, std::vector<int> args);
 
@@ -95,7 +101,10 @@ class MalProgram {
   std::vector<MalInstr> instrs_;
   std::vector<Reg> regs_;
   std::vector<ResultCol> results_;
-  std::map<std::string, int> const_pool_;  // rendered constant -> register
+  // (type, is_null, integer payload, DOUBLE bits, string payload).
+  using ConstKey =
+      std::tuple<gdk::PhysType, bool, int64_t, uint64_t, std::string>;
+  std::map<ConstKey, int> const_pool_;
   int name_counter_ = 0;
 };
 

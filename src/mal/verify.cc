@@ -1,31 +1,15 @@
 #include "src/mal/verify.h"
 
-#include <map>
 #include <utility>
 
 #include "src/common/string_util.h"
 #include "src/gdk/types.h"
+#include "src/mal/interpreter.h"
 
 namespace sciql {
 namespace mal {
 
 namespace {
-
-/// What the signature table can demand of an argument (or promise of a
-/// return). The verifier tracks values abstractly, so the kinds form a
-/// small lattice rather than full physical types: `kVal` accepts any
-/// runtime value (BAT or scalar), `kScalar` any scalar, `kNum`/`kStr`
-/// specific scalar families, and the object kinds match opaque plan
-/// objects by tag.
-enum class AK {
-  kVal,       // BAT or scalar
-  kBat,       // BAT only
-  kScalar,    // any scalar
-  kNum,       // numeric scalar (bit/int/lng/dbl/oid)
-  kStr,       // string scalar
-  kObjArray,  // opaque object tagged "arraydesc"
-  kObjTile,   // opaque object tagged "tilespec"
-};
 
 const char* AKName(AK k) {
   switch (k) {
@@ -88,134 +72,6 @@ const char* RKName(RK k) {
   return "?";
 }
 
-/// One acceptable shape of an opcode: `fixed` leading arguments followed by
-/// zero or more repetitions of `group` (at least `min_groups`). Opcodes
-/// with genuinely alternative shapes (algebra.select's optional candidate
-/// list, algebra.orderidx's two spellings) list several OpSigs.
-struct OpSig {
-  std::vector<AK> fixed;
-  std::vector<AK> group;
-  int min_groups = 0;
-  std::vector<AK> rets;
-  /// Single return whose BAT-vs-scalar shape follows the value arguments
-  /// (batcalc): all-scalar operands give a scalar, any BAT gives a BAT.
-  bool poly_ret = false;
-
-  size_t RetCount() const { return poly_ret ? 1 : rets.size(); }
-
-  bool ArityOk(size_t nargs) const {
-    if (group.empty()) return nargs == fixed.size();
-    if (nargs < fixed.size() + group.size() * min_groups) return false;
-    return (nargs - fixed.size()) % group.size() == 0;
-  }
-
-  std::string ArityString() const {
-    std::string out = StrFormat("%zu", fixed.size());
-    if (!group.empty()) {
-      out += StrFormat("+%zuk", group.size());
-      if (min_groups > 0) out += StrFormat(" (k>=%d)", min_groups);
-    }
-    return out;
-  }
-
-  AK ArgSpec(size_t i) const {
-    if (i < fixed.size()) return fixed[i];
-    return group[(i - fixed.size()) % group.size()];
-  }
-};
-
-using SigTable = std::map<std::string, std::vector<OpSig>>;
-
-/// The declarative opcode inventory. Mirrors src/mal/modules.cc (every op
-/// RegisterBuiltinModules installs) plus the display-only `sql.ddl`
-/// pseudo-instruction CompileDdlDisplay emits for EXPLAIN of DDL. Adding an
-/// op to the engine means adding its row here, or every Debug-build
-/// execution of it fails with unknown-op (docs/static_analysis.md).
-SigTable BuildTable() {
-  SigTable t;
-  auto add = [&t](const std::string& name, OpSig sig) {
-    t[name].push_back(std::move(sig));
-  };
-
-  // bat.*
-  add("bat.count", {{AK::kBat}, {}, 0, {AK::kNum}});
-  add("bat.dense", {{AK::kNum}, {}, 0, {AK::kBat}});
-  add("bat.pack", {{}, {AK::kScalar}, 1, {AK::kBat}});
-  add("bat.broadcast", {{AK::kVal, AK::kBat}, {}, 0, {AK::kBat}});
-  add("bat.clone", {{AK::kBat}, {}, 0, {AK::kBat}});
-
-  // algebra.*
-  add("algebra.select", {{AK::kBat}, {}, 0, {AK::kBat}});
-  add("algebra.select", {{AK::kBat, AK::kBat}, {}, 0, {AK::kBat}});
-  add("algebra.thetaselect",
-      {{AK::kBat, AK::kStr, AK::kScalar}, {}, 0, {AK::kBat}});
-  add("algebra.project", {{AK::kBat, AK::kBat}, {}, 0, {AK::kBat}});
-  add("algebra.join", {{AK::kBat, AK::kBat}, {}, 0, {AK::kBat, AK::kBat}});
-  add("algebra.njoin",
-      {{AK::kNum}, {AK::kBat, AK::kBat}, 1, {AK::kBat, AK::kBat}});
-  add("algebra.crossjoin",
-      {{AK::kNum, AK::kNum}, {}, 0, {AK::kBat, AK::kBat}});
-  add("algebra.slice", {{AK::kBat, AK::kNum, AK::kNum}, {}, 0, {AK::kBat}});
-  add("algebra.sort", {{}, {AK::kBat, AK::kNum}, 1, {AK::kBat}});
-  add("algebra.firstn", {{AK::kNum}, {AK::kBat, AK::kNum}, 1, {AK::kBat}});
-  add("algebra.orderidx", {{AK::kBat}, {}, 0, {AK::kBat}});
-  add("algebra.orderidx", {{}, {AK::kBat, AK::kNum}, 1, {AK::kBat}});
-
-  // batcalc.* — shape-polymorphic over scalars and BATs.
-  for (const char* op : {"+", "-", "*", "/", "%", "==", "!=", "<", "<=",
-                         ">", ">=", "and", "or"}) {
-    add(std::string("batcalc.") + op,
-        {{AK::kVal, AK::kVal}, {}, 0, {}, true});
-  }
-  for (const char* op : {"not", "neg", "abs", "isnil"}) {
-    add(std::string("batcalc.") + op, {{AK::kVal}, {}, 0, {}, true});
-  }
-  add("batcalc.ifthenelse",
-      {{AK::kVal, AK::kVal, AK::kVal}, {}, 0, {}, true});
-  add("batcalc.const", {{AK::kScalar, AK::kNum}, {}, 0, {AK::kBat}});
-  for (const char* ty : {"bit", "int", "lng", "dbl"}) {
-    add(std::string("batcalc.cast_") + ty, {{AK::kVal}, {}, 0, {}, true});
-  }
-
-  // group.* / aggr.*
-  add("group.group", {{AK::kBat}, {}, 0, {AK::kBat, AK::kBat, AK::kNum}});
-  add("group.subgroup",
-      {{AK::kBat, AK::kBat, AK::kNum}, {}, 0,
-       {AK::kBat, AK::kBat, AK::kNum}});
-  for (const char* op : {"sum", "avg", "min", "max", "count"}) {
-    add(std::string("aggr.") + op,
-        {{AK::kBat, AK::kBat, AK::kNum}, {}, 0, {AK::kBat}});
-    add(std::string("aggr.") + op + "_all", {{AK::kBat}, {}, 0, {AK::kScalar}});
-  }
-  add("aggr.count_star", {{AK::kBat, AK::kNum}, {}, 0, {AK::kBat}});
-
-  // array.*
-  add("array.series",
-      {{AK::kNum, AK::kNum, AK::kNum, AK::kNum, AK::kNum}, {}, 0, {AK::kBat}});
-  add("array.filler", {{AK::kNum, AK::kScalar}, {}, 0, {AK::kBat}});
-  add("array.cellpos", {{AK::kObjArray}, {AK::kBat}, 1, {AK::kBat}});
-  add("array.slab",
-      {{AK::kStr}, {AK::kStr, AK::kStr, AK::kScalar}, 1, {AK::kBat}});
-  add("array.tileagg",
-      {{AK::kObjArray, AK::kObjTile, AK::kStr, AK::kBat}, {}, 0, {AK::kBat}});
-  add("array.scatter", {{AK::kStr, AK::kStr, AK::kBat, AK::kVal}, {}, 0, {}});
-
-  // sql.* — `sql.ddl` is the display-only pseudo-op EXPLAIN emits for DDL.
-  add("sql.bind", {{AK::kStr, AK::kStr}, {}, 0, {AK::kBat}});
-  add("sql.count", {{AK::kStr}, {}, 0, {AK::kNum}});
-  add("sql.append", {{AK::kStr, AK::kStr, AK::kBat}, {}, 0, {}});
-  add("sql.replace", {{AK::kStr, AK::kStr, AK::kBat, AK::kVal}, {}, 0, {}});
-  add("sql.delete_rows", {{AK::kStr, AK::kBat}, {}, 0, {}});
-  add("sql.ddl", {{AK::kStr}, {}, 0, {}});
-
-  return t;
-}
-
-const SigTable& Table() {
-  static const SigTable* t = new SigTable(BuildTable());
-  return *t;
-}
-
 RK RetKind(AK spec) {
   switch (spec) {
     case AK::kBat: return RK::kBat;
@@ -269,7 +125,7 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
         diag("bad-register", ii,
              StrFormat("argument register %d out of range (program has %d "
                        "registers) in `%s(...)`",
-                       a, nregs, in.Name().c_str()));
+                       a, nregs, in.name.c_str()));
         regs_ok = false;
       }
     }
@@ -278,12 +134,13 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
         diag("bad-register", ii,
              StrFormat("return register %d out of range (program has %d "
                        "registers) in `%s(...)`",
-                       r, nregs, in.Name().c_str()));
+                       r, nregs, in.name.c_str()));
         regs_ok = false;
       }
     }
     if (!regs_ok) continue;
-    const std::string line = prog.InstrToString(i);
+    // Rendered only when a diagnostic fires: a clean program renders nothing.
+    auto line = [&prog, i] { return prog.InstrToString(i); };
 
     // Def-before-use over the already-processed prefix.
     for (size_t a = 0; a < in.args.size(); ++a) {
@@ -291,37 +148,28 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
         diag("use-before-def", ii,
              "argument " + StrFormat("%zu", a) + " (" +
                  regs[in.args[a]].name + ") is not a constant and has no "
-                 "defining instruction before `" + line + "`");
+                 "defining instruction before `" + line() + "`");
       }
     }
 
-    const auto it = Table().find(in.Name());
-    const std::vector<OpSig>* sigs =
-        it == Table().end() ? nullptr : &it->second;
-    if (sigs == nullptr) {
+    if (in.op == nullptr) {
       diag("unknown-op", ii,
-           "`" + in.Name() + "` is not in the MAL signature table: `" + line +
-               "`");
+           "`" + in.name + "` is not in the MAL op table: `" + line() + "`");
     }
 
     const OpSig* matched = nullptr;
-    if (sigs != nullptr) {
+    if (in.op != nullptr) {
       // Shape first: find the alternatives this arity/ret-count fits, then
       // demand the argument kinds of one of them.
       std::vector<const OpSig*> shape_ok;
-      for (const OpSig& s : *sigs) {
+      for (const OpSig& s : in.op->sigs) {
         if (s.ArityOk(in.args.size()) && s.RetCount() == in.rets.size()) {
           shape_ok.push_back(&s);
         }
       }
       if (shape_ok.empty()) {
-        const OpSig& s = (*sigs)[0];
         diag("arity-mismatch", ii,
-             "`" + in.Name() + "` expects " + s.ArityString() +
-                 StrFormat(" args and %zu rets, got %zu args and %zu rets "
-                           "in `",
-                           s.RetCount(), in.args.size(), in.rets.size()) +
-                 line + "`");
+             in.op->ShapeMismatch(in) + " in `" + line() + "`");
       } else {
         std::string first_mismatch;
         for (const OpSig* s : shape_ok) {
@@ -335,8 +183,8 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
                 first_mismatch =
                     "argument " + StrFormat("%zu", a) + " (" +
                     regs[in.args[a]].name + ") is " + RKName(rs.kind) +
-                    ", `" + in.Name() + "` needs " + AKName(s->ArgSpec(a)) +
-                    " in `" + line + "`";
+                    ", `" + in.name + "` needs " + AKName(s->ArgSpec(a)) +
+                    " in `" + line() + "`";
               }
               break;
             }
@@ -359,7 +207,7 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
         diag("const-assign", ii,
              "return " + StrFormat("%zu", r) + " writes " +
                  (regs[reg].is_obj ? "object" : "constant") + " register " +
-                 regs[reg].name + " in `" + line + "`");
+                 regs[reg].name + " in `" + line() + "`");
         continue;
       }
       if (state[reg].defined) {
@@ -369,7 +217,7 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
                       ? StrFormat(" already assigned by #%d",
                                   state[reg].def_instr)
                       : std::string(" assigned twice")) +
-                 ", reassigned in `" + line + "`");
+                 ", reassigned in `" + line() + "`");
         continue;
       }
       RegState& rs = state[reg];

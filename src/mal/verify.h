@@ -1,19 +1,22 @@
 // Static verifier for MAL programs: checks every planner-emitted (and
-// optimizer-rewritten) program against a declarative per-`module.fn`
-// signature table before it is executed, so a malformed plan fails with a
-// diagnostic naming the offending instruction instead of a runtime error
-// deep inside a kernel — or worse, a silently wrong result. This is the
-// plan-construction-time counterpart to the compile-time lock-capability
-// analysis (docs/static_analysis.md).
+// optimizer-rewritten) program against the signatures in the op table
+// (OpTable(), src/mal/interpreter.h) before it is executed, so a malformed
+// plan fails with a diagnostic naming the offending instruction instead of
+// a runtime error deep inside a kernel — or worse, a silently wrong
+// result. The interpreter checks only arity against the same rows; argument
+// kinds, single assignment and def-before-use are checked here. This is
+// the plan-construction-time counterpart to the compile-time
+// lock-capability analysis (docs/static_analysis.md).
 //
 // Checked invariants:
 //   - single assignment: every register is written by at most one
 //     instruction, and constant/object registers are never written
 //   - def-before-use: every argument is a constant, an object, or the
 //     result of an earlier instruction
-//   - signature consistency: known opcode, argument/return arity (including
-//     the variadic shapes: bat.pack, algebra.sort/firstn/njoin/orderidx,
-//     array.cellpos), and BAT-vs-scalar value kinds
+//   - signature consistency: known op (resolved to an op-table row when
+//     emitted), argument/return arity (including the variadic shapes:
+//     bat.pack, algebra.firstn/njoin/orderidx, array.cellpos/slab), and
+//     BAT-vs-scalar value kinds
 //   - result-column validity: every `io.result` register is defined
 //
 // Wired in three places: Session::CompileAndRun verifies both the raw and

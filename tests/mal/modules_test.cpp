@@ -1,12 +1,15 @@
-// MAL operation coverage beyond the basics: bat.* helpers, algebra.sort /
-// slice / njoin, catalog-backed sql.* ops and the array module through the
-// interpreter.
+// MAL operation coverage beyond the basics: bat.* helpers, algebra.orderidx
+// / slice / njoin, catalog-backed sql.* ops, the array module through the
+// interpreter, and the arity check dispatch makes for every op-table row.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "src/array/tiling.h"
 #include "src/mal/interpreter.h"
 #include "src/mal/program.h"
+#include "src/mal/verify.h"
 
 namespace sciql {
 namespace mal {
@@ -43,10 +46,10 @@ TEST(MalModulesTest, BatHelpers) {
   EXPECT_TRUE(ctx.Reg(packed).bat->IsNullAt(1));
 }
 
-TEST(MalModulesTest, SortAndSlice) {
+TEST(MalModulesTest, OrderIdxAndSlice) {
   MalProgram prog;
   int s = SeriesReg(&prog, 10, -2, 0);  // 10 8 6 4 2
-  int idx = prog.EmitR("algebra", "sort",
+  int idx = prog.EmitR("algebra", "orderidx",
                        {s, prog.Const(ScalarValue::Lng(0))}, "idx");
   int sorted = prog.EmitR("algebra", "project", {s, idx}, "sorted");
   int sliced = prog.EmitR("algebra", "slice",
@@ -136,6 +139,20 @@ TEST(MalModulesTest, NJoinThroughInterpreter) {
   MalContext ctx(nullptr);
   ASSERT_TRUE(MalEngine::Global().Run(prog, &ctx).ok());
   EXPECT_EQ(ctx.Reg(lo).bat->Count(), 2u);  // 2 and 3 match
+
+  // The key count must match the key columns. 2^63 + 1 as a key count
+  // wraps 1 + 2k to 3, the real argument count, and must still be refused.
+  for (int64_t nkeys : {int64_t{2}, int64_t{0}, int64_t{-1},
+                        INT64_MIN + 1}) {
+    MalProgram bad;
+    int bl = SeriesReg(&bad, 0, 1, 4);
+    int br = SeriesReg(&bad, 2, 1, 6);
+    bad.Emit("algebra", "njoin", {bad.NewReg("lo"), bad.NewReg("ro")},
+             {bad.Const(ScalarValue::Lng(nkeys)), bl, br});
+    MalContext bad_ctx(nullptr);
+    Status st = MalEngine::Global().Run(bad, &bad_ctx);
+    EXPECT_FALSE(st.ok()) << "nkeys=" << nkeys;
+  }
 }
 
 TEST(MalModulesTest, SqlBindAgainstCatalog) {
@@ -197,20 +214,6 @@ TEST(MalModulesTest, TileAggThroughInterpreter) {
   EXPECT_EQ(ctx.Reg(agg).bat->lngs(), (std::vector<int64_t>{3, 5, 7, 4}));
 }
 
-TEST(MalModulesTest, CastOps) {
-  MalProgram prog;
-  int s = SeriesReg(&prog, 0, 1, 3);
-  int d = prog.EmitR("batcalc", "cast_dbl", {s}, "d");
-  int l = prog.EmitR("batcalc", "cast_lng", {s}, "l");
-  int sc = prog.EmitR("batcalc", "cast_int",
-                      {prog.Const(ScalarValue::Dbl(3.9))}, "sc");
-  MalContext ctx(nullptr);
-  ASSERT_TRUE(MalEngine::Global().Run(prog, &ctx).ok());
-  EXPECT_EQ(ctx.Reg(d).bat->type(), gdk::PhysType::kDbl);
-  EXPECT_EQ(ctx.Reg(l).bat->type(), gdk::PhysType::kLng);
-  EXPECT_EQ(ctx.Reg(sc).scalar.i, 3);
-}
-
 TEST(MalModulesTest, ObjRegistersSurviveOptimization) {
   // Objects are opaque to the optimizer; the tileagg instruction keeps its
   // descriptor even after CSE/DCE rounds.
@@ -231,6 +234,60 @@ TEST(MalModulesTest, ObjRegistersSurviveOptimization) {
   MalContext ctx(nullptr);
   ASSERT_TRUE(MalEngine::Global().Run(prog, &ctx).ok());
   EXPECT_EQ(ctx.Reg(agg).bat->lngs(), (std::vector<int64_t>{1, 1}));
+}
+
+// Dispatch checks each instruction's shape against its op-table row before
+// the kernel runs, so no kernel repeats an arity check. With the verifier
+// off, every executable row must refuse one argument too few or too many
+// (and one return too many) through Run, with a status naming the op —
+// never by reaching a kernel that indexes past its arguments or, for the
+// sql.* ops, dereferences the null catalog below.
+TEST(MalModulesTest, DispatchRejectsWrongArityForEveryOp) {
+  VerifyControls saved = GetVerifyControls();
+  GetVerifyControls().enabled = false;
+  auto run_fails_naming = [](const OpDef& op, size_t nargs, size_t nrets) {
+    const std::string name = op.module + "." + op.fn;
+    MalProgram prog;
+    std::vector<int> args(nargs, prog.Const(ScalarValue::Lng(1)));
+    std::vector<int> rets;
+    for (size_t r = 0; r < nrets; ++r) rets.push_back(prog.NewReg("r"));
+    prog.Emit(op.module, op.fn, rets, args);
+    MalContext ctx(nullptr);
+    Status st = MalEngine::Global().Run(prog, &ctx);
+    EXPECT_FALSE(st.ok()) << name << " with " << nargs << " args, " << nrets
+                          << " rets";
+    EXPECT_NE(st.message().find(name), std::string::npos) << st.ToString();
+  };
+
+  for (const OpDef& op : OpTable()) {
+    if (op.kernel == nullptr) continue;
+    int cases = 0;
+    for (const OpSig& sig : op.sigs) {
+      // The shortest arity the signature accepts, one below and one above.
+      size_t n = sig.fixed.size() + sig.group.size();
+      for (size_t nargs : {n - 1, n + 1}) {
+        if (nargs > n + 1 || op.ShapeOk(nargs, sig.RetCount())) continue;
+        run_fails_naming(op, nargs, sig.RetCount());
+        ++cases;
+      }
+      run_fails_naming(op, n, sig.RetCount() + 1);
+    }
+    EXPECT_GT(cases, 0) << op.module << "." << op.fn
+                        << " has no wrong argument count";
+  }
+
+  // The display-only sql.ddl row has no kernel: Run refuses it.
+  const OpDef* ddl = FindOp("sql.ddl");
+  ASSERT_NE(ddl, nullptr);
+  EXPECT_EQ(ddl->kernel, nullptr);
+  MalProgram prog;
+  prog.Emit("sql", "ddl", {}, {prog.Const(ScalarValue::Str("DROP TABLE t"))});
+  MalContext ctx(nullptr);
+  Status st = MalEngine::Global().Run(prog, &ctx);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("sql.ddl"), std::string::npos) << st.ToString();
+
+  GetVerifyControls() = saved;
 }
 
 }  // namespace

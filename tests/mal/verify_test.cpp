@@ -102,10 +102,12 @@ TEST(MalVerifyTest, ArityMismatch) {
 TEST(MalVerifyTest, VariadicArityMismatch) {
   MalProgram prog;
   int x = prog.EmitR("bat", "dense", {prog.Const(ScalarValue::Lng(4))}, "x");
-  // algebra.sort takes (bat, direction) pairs; a dangling odd argument
-  // breaks the group shape.
-  prog.EmitR("algebra", "sort", {x, prog.Const(ScalarValue::Int(0)), x},
-             "sorted");
+  // algebra.firstn takes k, then (bat, direction) pairs; a dangling odd
+  // argument breaks the group shape.
+  prog.EmitR("algebra", "firstn",
+             {prog.Const(ScalarValue::Lng(2)), x,
+              prog.Const(ScalarValue::Int(0)), x},
+             "top");
   EXPECT_EQ(Checks(prog), std::vector<std::string>{"arity-mismatch"});
 }
 
