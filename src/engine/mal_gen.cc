@@ -90,24 +90,23 @@ Result<CompiledStatement> StatementCompiler::CompileInsert(
   }
   Env empty;
   ExprCompiler comp(&cs.prog, cat_, &empty);
-  // regs[r][c]
-  std::vector<std::vector<int>> regs;
+  // Registers are numbered row by row, as the literals appear.
+  std::vector<std::vector<int>> cols(ncols);
+  for (std::vector<int>& col : cols) col.reserve(stmt.insert_values.size());
   for (const auto& row : stmt.insert_values) {
-    std::vector<int> rowregs;
-    for (const auto& e : row) {
-      if (!ExprCompiler::IsScalarExpr(*e)) {
+    for (size_t c = 0; c < ncols; ++c) {
+      const sql::Expr& e = *row[c];
+      if (!ExprCompiler::IsScalarExpr(e)) {
         return Status::BindError(
             "VALUES expressions must be constant scalars");
       }
-      SCIQL_ASSIGN_OR_RETURN(int r, comp.Compile(*e));
-      rowregs.push_back(r);
+      SCIQL_ASSIGN_OR_RETURN(int r, comp.Compile(e));
+      cols[c].push_back(r);
     }
-    regs.push_back(std::move(rowregs));
   }
   for (size_t c = 0; c < ncols; ++c) {
-    std::vector<int> args;
-    for (size_t r = 0; r < regs.size(); ++r) args.push_back(regs[r][c]);
-    int col = cs.prog.EmitR("bat", "pack", args, StrFormat("v%zu", c));
+    int col = cs.prog.EmitR("bat", "pack", std::move(cols[c]),
+                            StrFormat("v%zu", c));
     cs.prog.AddResult(StrFormat("col%zu", c + 1), col, false);
   }
   return cs;

@@ -17,7 +17,7 @@ uint64_t SumRows(const MalContext& ctx, const std::vector<int>& regs,
                  bool scalar_is_row) {
   uint64_t rows = 0;
   for (int r : regs) {
-    const MalValue& v = ctx.regs[static_cast<size_t>(r)];
+    const MalValue& v = ctx.Reg(r);
     if (v.IsBat()) {
       rows += v.bat->Count();
     } else if (scalar_is_row && v.IsScalar()) {
@@ -65,15 +65,8 @@ const MalEngine& MalEngine::Global() {
 }
 
 Status MalEngine::Run(const MalProgram& prog, MalContext* ctx) const {
-  ctx->regs.assign(prog.regs().size(), MalValue::None());
-  for (size_t i = 0; i < prog.regs().size(); ++i) {
-    const MalProgram::Reg& r = prog.regs()[i];
-    if (r.is_const) {
-      ctx->regs[i] = MalValue::Of(r.cval);
-    } else if (r.is_obj) {
-      ctx->regs[i] = MalValue::Object(r.obj, r.obj_tag);
-    }
-  }
+  ctx->prog = &prog;
+  ctx->vars.assign(prog.NumVars(), MalValue::None());
   for (size_t i = 0; i < prog.instrs().size(); ++i) {
     const MalInstr& instr = prog.instrs()[i];
     if (ctx->trace == nullptr) {
@@ -113,6 +106,12 @@ Status MalEngine::RunInstr(const MalInstr& instr, MalContext* ctx) const {
   }
   if (!op->ShapeOk(instr.args.size(), instr.rets.size())) {
     return Status::Internal(op->ShapeMismatch(instr));
+  }
+  for (int r : instr.rets) {
+    if (ctx->prog->reg(r).kind != MalProgram::RegKind::kVar) {
+      return Status::Internal(StrFormat("%s writes non-variable register %d",
+                                        instr.name.c_str(), r));
+    }
   }
   Status st = op->kernel(ctx, instr);
   if (!st.ok()) {

@@ -33,13 +33,24 @@ struct MalContext {
   explicit MalContext(const catalog::CatalogVersion* cat) : catalog(cat) {}
 
   const catalog::CatalogVersion* catalog;
-  std::vector<MalValue> regs;
+  /// The program whose registers these are (set by MalEngine::Run): its
+  /// constants and objects are read from it, never copied in.
+  const MalProgram* prog = nullptr;
+  /// The program's variable registers, by MalProgram::Reg::slot.
+  std::vector<MalValue> vars;
 
   /// When non-null, Run() records one obs::InstrSample per instruction
   /// (wall time, row counts, telemetry delta) into this trace.
   obs::StatementTrace* trace = nullptr;
 
-  MalValue& Reg(int r) { return regs[static_cast<size_t>(r)]; }
+  /// \brief Any register's current value.
+  const MalValue& Reg(int r) const {
+    const MalProgram::Reg& g = prog->reg(r);
+    return g.kind == MalProgram::RegKind::kVar ? vars[g.slot]
+                                                : prog->Value(r);
+  }
+  /// \brief A variable register, to store an instruction's result.
+  MalValue& Var(int r) { return vars[prog->reg(r).slot]; }
 };
 
 /// \brief What a signature demands of an argument (or promises of a
@@ -112,13 +123,15 @@ class MalEngine {
   /// \brief The process-wide engine.
   static const MalEngine& Global();
 
-  /// \brief Execute the whole program: loads constants, then runs every
-  /// instruction in order, sampling each into `ctx->trace` when one is set.
+  /// \brief Execute the whole program: binds `ctx` to it with a fresh
+  /// variable file, then runs every instruction in order, sampling each
+  /// into `ctx->trace` when one is set.
   Status Run(const MalProgram& prog, MalContext* ctx) const;
 
-  /// \brief Execute a single instruction against an existing context. Fails
-  /// without dispatching when the op is unknown or display-only, or the
-  /// instruction's shape fits none of its signatures.
+  /// \brief Execute a single instruction against a context bound to its
+  /// program. Fails without dispatching when the op is unknown or
+  /// display-only, the instruction's shape fits none of its signatures, or
+  /// a result register is not a variable.
   Status RunInstr(const MalInstr& instr, MalContext* ctx) const;
 };
 

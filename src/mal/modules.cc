@@ -6,6 +6,7 @@
 // array.filler — Sec. 3) plus the cell-addressing and tiling operations the
 // SciQL compiler emits.
 
+#include <type_traits>
 #include <unordered_map>
 
 #include "src/array/series.h"
@@ -78,6 +79,18 @@ Result<int64_t> LngArg(MalContext* ctx, const MalInstr& in, size_t i) {
   return v.AsInt64();
 }
 
+/// A row or group count: an integer argument that must not be negative
+/// (cast to size_t, -1 would ask for 2^64 - 1 entries).
+Result<size_t> CountArg(MalContext* ctx, const MalInstr& in, size_t i) {
+  SCIQL_ASSIGN_OR_RETURN(int64_t n, LngArg(ctx, in, i));
+  if (n < 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: argument %zu is a negative count (%lld)",
+                  in.name.c_str(), i, static_cast<long long>(n)));
+  }
+  return static_cast<size_t>(n);
+}
+
 Result<std::string> StrArg(MalContext* ctx, const MalInstr& in, size_t i) {
   SCIQL_ASSIGN_OR_RETURN(ScalarValue v, ScalarArg(ctx, in, i));
   if (v.is_null || v.type != PhysType::kStr) {
@@ -88,7 +101,7 @@ Result<std::string> StrArg(MalContext* ctx, const MalInstr& in, size_t i) {
 }
 
 void SetRet(MalContext* ctx, const MalInstr& in, size_t i, MalValue v) {
-  ctx->Reg(in.rets[i]) = std::move(v);
+  ctx->Var(in.rets[i]) = std::move(v);
 }
 
 Result<AggOp> AggOpFromName(const std::string& s) {
@@ -166,10 +179,9 @@ template <AggOp kOp>
 Status GroupedAggregate(MalContext* ctx, const MalInstr& in) {
   SCIQL_ASSIGN_OR_RETURN(BATPtr vals, BatArg(ctx, in, 0));
   SCIQL_ASSIGN_OR_RETURN(BATPtr groups, BatArg(ctx, in, 1));
-  SCIQL_ASSIGN_OR_RETURN(int64_t ng, LngArg(ctx, in, 2));
-  SCIQL_ASSIGN_OR_RETURN(
-      BATPtr out, gdk::GroupedAggregate(kOp, vals.get(), *groups,
-                                        static_cast<size_t>(ng)));
+  SCIQL_ASSIGN_OR_RETURN(size_t ng, CountArg(ctx, in, 2));
+  SCIQL_ASSIGN_OR_RETURN(BATPtr out,
+                         gdk::GroupedAggregate(kOp, vals.get(), *groups, ng));
   SetRet(ctx, in, 0, MalValue::Of(out));
   return Status::OK();
 }
@@ -180,6 +192,25 @@ Status WholeAggregate(MalContext* ctx, const MalInstr& in) {
   SCIQL_ASSIGN_OR_RETURN(BATPtr vals, BatArg(ctx, in, 0));
   SCIQL_ASSIGN_OR_RETURN(ScalarValue out, gdk::Aggregate(kOp, *vals));
   SetRet(ctx, in, 0, MalValue::Of(out));
+  return Status::OK();
+}
+
+/// bat.pack's fill of a BAT of numeric type `t`: values already of type `t`
+/// go straight onto its tail `out`; NULLs and narrower values take
+/// BAT::Append's nil and widening rules.
+template <typename T>
+Status PackTyped(MalContext* ctx, const MalInstr& in, PhysType t, BAT* b,
+                 std::vector<T>* out) {
+  for (int a : in.args) {
+    const ScalarValue& v = ctx->Reg(a).scalar;
+    if (v.is_null || v.type != t) {
+      SCIQL_RETURN_NOT_OK(b->Append(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      out->push_back(v.d);
+    } else {
+      out->push_back(static_cast<T>(v.i));
+    }
+  }
   return Status::OK();
 }
 
@@ -209,9 +240,8 @@ std::vector<OpDef> BuildOps() {
 
       {"bat", "dense", {Fixed({kNum}, {kBat})},
        [](MalContext* ctx, const MalInstr& in) {
-         SCIQL_ASSIGN_OR_RETURN(int64_t n, LngArg(ctx, in, 0));
-         SetRet(ctx, in, 0,
-                MalValue::Of(BAT::MakeDense(0, static_cast<size_t>(n))));
+         SCIQL_ASSIGN_OR_RETURN(size_t n, CountArg(ctx, in, 0));
+         SetRet(ctx, in, 0, MalValue::Of(BAT::MakeDense(0, n)));
          return Status::OK();
        }},
 
@@ -248,8 +278,22 @@ std::vector<OpDef> BuildOps() {
            }
          }
          auto b = BAT::Make(t);
-         for (int a : in.args) {
-           SCIQL_RETURN_NOT_OK(b->Append(ctx->Reg(a).scalar));
+         b->Reserve(in.args.size());
+         switch (t) {
+           case PhysType::kInt:
+             SCIQL_RETURN_NOT_OK(PackTyped(ctx, in, t, b.get(), &b->ints()));
+             break;
+           case PhysType::kLng:
+             SCIQL_RETURN_NOT_OK(PackTyped(ctx, in, t, b.get(), &b->lngs()));
+             break;
+           case PhysType::kDbl:
+             SCIQL_RETURN_NOT_OK(PackTyped(ctx, in, t, b.get(), &b->dbls()));
+             break;
+           default:
+             for (int a : in.args) {
+               SCIQL_RETURN_NOT_OK(b->Append(ctx->Reg(a).scalar));
+             }
+             break;
          }
          SetRet(ctx, in, 0, MalValue::Of(b));
          return Status::OK();
@@ -338,10 +382,9 @@ std::vector<OpDef> BuildOps() {
 
       {"algebra", "crossjoin", {Fixed({kNum, kNum}, {kBat, kBat})},
        [](MalContext* ctx, const MalInstr& in) {
-         SCIQL_ASSIGN_OR_RETURN(int64_t nl, LngArg(ctx, in, 0));
-         SCIQL_ASSIGN_OR_RETURN(int64_t nr, LngArg(ctx, in, 1));
-         gdk::JoinResult jr = gdk::CrossJoin(static_cast<size_t>(nl),
-                                             static_cast<size_t>(nr));
+         SCIQL_ASSIGN_OR_RETURN(size_t nl, CountArg(ctx, in, 0));
+         SCIQL_ASSIGN_OR_RETURN(size_t nr, CountArg(ctx, in, 1));
+         gdk::JoinResult jr = gdk::CrossJoin(nl, nr);
          SetRet(ctx, in, 0, MalValue::Of(jr.left));
          SetRet(ctx, in, 1, MalValue::Of(jr.right));
          return Status::OK();
@@ -453,9 +496,8 @@ std::vector<OpDef> BuildOps() {
       {"batcalc", "const", {Fixed({kScalar, kNum}, {kBat})},
        [](MalContext* ctx, const MalInstr& in) {
          SCIQL_ASSIGN_OR_RETURN(ScalarValue v, ScalarArg(ctx, in, 0));
-         SCIQL_ASSIGN_OR_RETURN(int64_t n, LngArg(ctx, in, 1));
-         SetRet(ctx, in, 0,
-                MalValue::Of(BAT::MakeConst(v, static_cast<size_t>(n))));
+         SCIQL_ASSIGN_OR_RETURN(size_t n, CountArg(ctx, in, 1));
+         SetRet(ctx, in, 0, MalValue::Of(BAT::MakeConst(v, n)));
          return Status::OK();
        }},
 
@@ -476,10 +518,9 @@ std::vector<OpDef> BuildOps() {
        [](MalContext* ctx, const MalInstr& in) {
          SCIQL_ASSIGN_OR_RETURN(BATPtr b, BatArg(ctx, in, 0));
          SCIQL_ASSIGN_OR_RETURN(BATPtr prev, BatArg(ctx, in, 1));
-         SCIQL_ASSIGN_OR_RETURN(int64_t ng, LngArg(ctx, in, 2));
-         SCIQL_ASSIGN_OR_RETURN(
-             gdk::GroupResult gr,
-             gdk::Group(*b, prev.get(), static_cast<size_t>(ng)));
+         SCIQL_ASSIGN_OR_RETURN(size_t ng, CountArg(ctx, in, 2));
+         SCIQL_ASSIGN_OR_RETURN(gdk::GroupResult gr,
+                                gdk::Group(*b, prev.get(), ng));
          SetGroupRets(ctx, in, gr);
          return Status::OK();
        }},
@@ -498,11 +539,10 @@ std::vector<OpDef> BuildOps() {
       {"aggr", "count_star", {Fixed({kBat, kNum}, {kBat})},
        [](MalContext* ctx, const MalInstr& in) {
          SCIQL_ASSIGN_OR_RETURN(BATPtr groups, BatArg(ctx, in, 0));
-         SCIQL_ASSIGN_OR_RETURN(int64_t ng, LngArg(ctx, in, 1));
+         SCIQL_ASSIGN_OR_RETURN(size_t ng, CountArg(ctx, in, 1));
          SCIQL_ASSIGN_OR_RETURN(
-             BATPtr out, gdk::GroupedAggregate(AggOp::kCountStar, nullptr,
-                                               *groups,
-                                               static_cast<size_t>(ng)));
+             BATPtr out,
+             gdk::GroupedAggregate(AggOp::kCountStar, nullptr, *groups, ng));
          SetRet(ctx, in, 0, MalValue::Of(out));
          return Status::OK();
        }},
@@ -526,22 +566,19 @@ std::vector<OpDef> BuildOps() {
          SCIQL_ASSIGN_OR_RETURN(int64_t start, LngArg(ctx, in, 0));
          SCIQL_ASSIGN_OR_RETURN(int64_t step, LngArg(ctx, in, 1));
          SCIQL_ASSIGN_OR_RETURN(int64_t stop, LngArg(ctx, in, 2));
-         SCIQL_ASSIGN_OR_RETURN(int64_t n, LngArg(ctx, in, 3));
-         SCIQL_ASSIGN_OR_RETURN(int64_t m, LngArg(ctx, in, 4));
+         SCIQL_ASSIGN_OR_RETURN(size_t n, CountArg(ctx, in, 3));
+         SCIQL_ASSIGN_OR_RETURN(size_t m, CountArg(ctx, in, 4));
          array::DimRange r(start, step, stop);
          SCIQL_RETURN_NOT_OK(r.Validate());
-         SetRet(ctx, in, 0,
-                MalValue::Of(array::Series(r, static_cast<size_t>(n),
-                                           static_cast<size_t>(m))));
+         SetRet(ctx, in, 0, MalValue::Of(array::Series(r, n, m)));
          return Status::OK();
        }},
 
       {"array", "filler", {Fixed({kNum, kScalar}, {kBat})},
        [](MalContext* ctx, const MalInstr& in) {
-         SCIQL_ASSIGN_OR_RETURN(int64_t cnt, LngArg(ctx, in, 0));
+         SCIQL_ASSIGN_OR_RETURN(size_t cnt, CountArg(ctx, in, 0));
          SCIQL_ASSIGN_OR_RETURN(ScalarValue v, ScalarArg(ctx, in, 1));
-         SetRet(ctx, in, 0,
-                MalValue::Of(array::Filler(static_cast<size_t>(cnt), v)));
+         SetRet(ctx, in, 0, MalValue::Of(array::Filler(cnt, v)));
          return Status::OK();
        }},
 

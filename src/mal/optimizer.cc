@@ -22,9 +22,15 @@ void ApplyAliases(MalProgram* prog, const std::vector<int>& alias) {
 }
 
 std::vector<int> IdentityAliases(const MalProgram& prog) {
-  std::vector<int> alias(prog.regs().size());
+  std::vector<int> alias(prog.NumRegs());
   for (size_t i = 0; i < alias.size(); ++i) alias[i] = static_cast<int>(i);
   return alias;
+}
+
+/// Ops whose result is a scalar when all their operands are: the
+/// shape-polymorphic batcalc rows.
+bool FoldsOnScalars(const OpDef* op) {
+  return op != nullptr && op->sigs[0].poly_ret;
 }
 
 }  // namespace
@@ -34,8 +40,10 @@ Status CommonSubexpressionElimination(MalProgram* prog,
   std::vector<int> alias = IdentityAliases(*prog);
   // Key: resolved op + canonicalised argument registers.
   std::map<std::pair<const OpDef*, std::vector<int>>, std::vector<int>> seen;
+  std::vector<MalInstr> instrs = std::move(*prog->mutable_instrs());
   std::vector<MalInstr> kept;
-  for (MalInstr in : prog->instrs()) {
+  kept.reserve(instrs.size());
+  for (MalInstr& in : instrs) {
     for (int& a : in.args) a = alias[static_cast<size_t>(a)];
     if (in.op == nullptr) {
       // Unknown ops share no row to key on; they fail at run time by name.
@@ -62,41 +70,33 @@ Status CommonSubexpressionElimination(MalProgram* prog,
 
 Status ConstantFold(MalProgram* prog, OptimizerStats* stats) {
   const MalEngine& engine = MalEngine::Global();
-  // Only fold scalar computations in the batcalc module; anything touching
-  // the catalog or BATs stays.
+  // Only fold scalar computations; anything touching the catalog or BATs
+  // stays. The arguments are read from the program, so the context's
+  // variable file is made only once something folds.
   MalContext ctx(nullptr);
-  ctx.regs.assign(prog->regs().size(), MalValue::None());
-  for (size_t i = 0; i < prog->regs().size(); ++i) {
-    const MalProgram::Reg& r = prog->regs()[i];
-    if (r.is_const) ctx.regs[i] = MalValue::Of(r.cval);
-  }
+  ctx.prog = prog;
+  std::vector<MalInstr> instrs = std::move(*prog->mutable_instrs());
   std::vector<MalInstr> kept;
-  for (const MalInstr& in : prog->instrs()) {
-    bool foldable = in.op != nullptr && in.op->module == "batcalc" &&
-                    in.rets.size() == 1;
-    if (foldable) {
-      for (int a : in.args) {
-        if (!prog->regs()[static_cast<size_t>(a)].is_const &&
-            !ctx.regs[static_cast<size_t>(a)].IsScalar()) {
-          foldable = false;
-          break;
-        }
-      }
+  kept.reserve(instrs.size());
+  for (MalInstr& in : instrs) {
+    bool foldable = FoldsOnScalars(in.op) && in.rets.size() == 1;
+    for (size_t a = 0; foldable && a < in.args.size(); ++a) {
+      foldable = prog->IsConst(in.args[a]);
     }
     if (!foldable) {
-      kept.push_back(in);
+      kept.push_back(std::move(in));
       continue;
     }
+    if (ctx.vars.size() != prog->NumVars()) ctx.vars.resize(prog->NumVars());
     Status st = engine.RunInstr(in, &ctx);
-    if (!st.ok() || !ctx.regs[static_cast<size_t>(in.rets[0])].IsScalar()) {
+    const MalValue& out = ctx.Reg(in.rets[0]);
+    if (!st.ok() || !out.IsScalar()) {
       // E.g. division by zero: keep the instruction so the error surfaces
       // at execution time with proper context.
-      kept.push_back(in);
+      kept.push_back(std::move(in));
       continue;
     }
-    MalProgram::Reg& r = (*prog->mutable_regs())[static_cast<size_t>(in.rets[0])];
-    r.is_const = true;
-    r.cval = ctx.regs[static_cast<size_t>(in.rets[0])].scalar;
+    prog->SetConst(in.rets[0], out.scalar);
     if (stats != nullptr) stats->folded++;
   }
   *prog->mutable_instrs() = std::move(kept);
@@ -104,15 +104,16 @@ Status ConstantFold(MalProgram* prog, OptimizerStats* stats) {
 }
 
 Status DeadCodeElimination(MalProgram* prog, OptimizerStats* stats) {
-  std::vector<bool> used(prog->regs().size(), false);
+  std::vector<bool> used(prog->NumRegs(), false);
   for (const auto& rc : prog->results()) {
     used[static_cast<size_t>(rc.reg)] = true;
   }
   // Backward sweep: every op is pure (writes are applied by the executor,
   // not by MAL), so an instruction is live iff any of its results is used.
-  std::vector<bool> live(prog->instrs().size(), false);
-  for (size_t i = prog->instrs().size(); i-- > 0;) {
-    const MalInstr& in = prog->instrs()[i];
+  std::vector<MalInstr>& instrs = *prog->mutable_instrs();
+  std::vector<bool> live(instrs.size(), false);
+  for (size_t i = instrs.size(); i-- > 0;) {
+    const MalInstr& in = instrs[i];
     bool needed = false;
     for (int r : in.rets) {
       if (used[static_cast<size_t>(r)]) needed = true;
@@ -121,15 +122,16 @@ Status DeadCodeElimination(MalProgram* prog, OptimizerStats* stats) {
     live[i] = true;
     for (int a : in.args) used[static_cast<size_t>(a)] = true;
   }
-  std::vector<MalInstr> kept;
-  for (size_t i = 0; i < prog->instrs().size(); ++i) {
+  size_t n = 0;
+  for (size_t i = 0; i < instrs.size(); ++i) {
     if (live[i]) {
-      kept.push_back(prog->instrs()[i]);
+      if (n != i) instrs[n] = std::move(instrs[i]);
+      ++n;
     } else if (stats != nullptr) {
       stats->dead_removed++;
     }
   }
-  *prog->mutable_instrs() = std::move(kept);
+  instrs.resize(n);
   return Status::OK();
 }
 

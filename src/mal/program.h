@@ -5,10 +5,10 @@
 #ifndef SCIQL_MAL_PROGRAM_H_
 #define SCIQL_MAL_PROGRAM_H_
 
-#include <map>
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/gdk/types.h"
@@ -33,20 +33,21 @@ struct MalInstr {
 /// \brief A compiled MAL program plus its register metadata.
 ///
 /// Registers are either variables (produced by instructions), inline scalar
-/// constants, or opaque plan objects. The builder API (NewReg/Const/Emit) is
-/// used by the MAL generator; ToString() renders the program in MonetDB's
-/// textual MAL style, e.g.
+/// constants, or opaque plan objects, numbered in the order they are first
+/// made. Constants and objects live in the program: a run reads them from
+/// here and keeps only variables in its register file. The builder API
+/// (NewReg/Const/Emit) is used by the MAL generator; ToString() renders the
+/// program in MonetDB's textual MAL style, e.g.
 ///     x := array.series(0,1,4,4,1);
 class MalProgram {
  public:
+  enum class RegKind : uint8_t { kVar, kConst, kObj };
+  /// \brief Where a register's value lives: `slot` indexes the variables
+  /// (kVar, also a run's register file), the constants (kConst) or the
+  /// objects (kObj).
   struct Reg {
-    std::string name;
-    bool is_const = false;
-    gdk::ScalarValue cval;
-    bool is_obj = false;
-    std::shared_ptr<const void> obj;
-    std::string obj_tag;
-    std::string obj_display;
+    RegKind kind = RegKind::kVar;
+    uint32_t slot = 0;
   };
 
   /// \brief Fresh variable register with a display name hint.
@@ -55,10 +56,13 @@ class MalProgram {
   /// (same type and exact value; DOUBLEs by bit pattern) share one register
   /// (hash-consed), which lets CSE merge duplicate instructions over equal
   /// literals.
-  int Const(gdk::ScalarValue v);
+  int Const(const gdk::ScalarValue& v);
   /// \brief Register holding an opaque object (tile spec, array descriptor).
   int Obj(std::shared_ptr<const void> obj, const std::string& tag,
           const std::string& display);
+  /// \brief Turn variable `r` into a constant holding `v` (constant folding).
+  /// The register keeps its number; it does not join the hash-consing pool.
+  void SetConst(int r, gdk::ScalarValue v);
 
   /// \brief Emit rets := module.fn(args), resolving module.fn to its
   /// op-table row.
@@ -74,8 +78,21 @@ class MalProgram {
 
   const std::vector<MalInstr>& instrs() const { return instrs_; }
   std::vector<MalInstr>* mutable_instrs() { return &instrs_; }
-  const std::vector<Reg>& regs() const { return regs_; }
-  std::vector<Reg>* mutable_regs() { return &regs_; }
+
+  size_t NumRegs() const { return regs_.size(); }
+  /// \brief Variable slots: the size of a run's register file.
+  size_t NumVars() const { return var_names_.size(); }
+  const Reg& reg(int r) const { return regs_[static_cast<size_t>(r)]; }
+  bool IsConst(int r) const { return reg(r).kind == RegKind::kConst; }
+  bool IsObj(int r) const { return reg(r).kind == RegKind::kObj; }
+  /// \brief The value of a constant or object register.
+  const MalValue& Value(int r) const {
+    const Reg& g = reg(r);
+    return g.kind == RegKind::kConst ? consts_[g.slot] : objs_[g.slot].value;
+  }
+  const gdk::ScalarValue& ConstValue(int r) const { return Value(r).scalar; }
+  /// \brief A variable register's display name; "" for the others.
+  const std::string& VarName(int r) const;
 
   struct ResultCol {
     std::string name;
@@ -96,15 +113,34 @@ class MalProgram {
   std::string ResultLineToString() const;
 
  private:
+  struct ObjReg {
+    MalValue value;
+    std::string display;
+  };
+
   std::string RegName(int r) const;
+  int AddReg(RegKind kind, size_t slot);
+  /// The pooled register holding exactly `v`, or -1.
+  int FindPooled(const gdk::ScalarValue& v, uint64_t hash) const;
+  void PoolInsert(int r, uint64_t hash);
 
   std::vector<MalInstr> instrs_;
   std::vector<Reg> regs_;
+  std::vector<std::string> var_names_;
+  /// A deque: its blocks come from the small-object heap and it never moves
+  /// its elements, so a statement with thousands of literals appends each
+  /// constant once.
+  std::deque<MalValue> consts_;
+  std::vector<ObjReg> objs_;
   std::vector<ResultCol> results_;
-  // (type, is_null, integer payload, DOUBLE bits, string payload).
-  using ConstKey =
-      std::tuple<gdk::PhysType, bool, int64_t, uint64_t, std::string>;
-  std::map<ConstKey, int> const_pool_;
+  /// Hash-consing pool: open addressing over a power-of-two table of
+  /// constant registers, each beside the hash of its value.
+  struct PoolEntry {
+    uint64_t hash = 0;
+    int reg = -1;  ///< -1: empty
+  };
+  std::vector<PoolEntry> pool_;
+  size_t pool_size_ = 0;
   int name_counter_ = 0;
 };
 

@@ -90,20 +90,19 @@ std::string VerifyDiag::ToString() const {
 
 std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
   std::vector<VerifyDiag> diags;
-  const auto& regs = prog.regs();
   const auto& instrs = prog.instrs();
-  const int nregs = static_cast<int>(regs.size());
+  const int nregs = static_cast<int>(prog.NumRegs());
 
-  std::vector<RegState> state(regs.size());
+  std::vector<RegState> state(prog.NumRegs());
   for (int r = 0; r < nregs; ++r) {
-    if (regs[r].is_const) {
+    if (prog.IsConst(r)) {
       state[r].defined = true;
       state[r].kind =
-          regs[r].cval.type == gdk::PhysType::kStr ? RK::kStr : RK::kNum;
-    } else if (regs[r].is_obj) {
+          prog.ConstValue(r).type == gdk::PhysType::kStr ? RK::kStr : RK::kNum;
+    } else if (prog.IsObj(r)) {
       state[r].defined = true;
       state[r].kind = RK::kObj;
-      state[r].obj_tag = regs[r].obj_tag;
+      state[r].obj_tag = prog.Value(r).obj_tag;
     }
   }
 
@@ -147,7 +146,7 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
       if (!state[in.args[a]].defined) {
         diag("use-before-def", ii,
              "argument " + StrFormat("%zu", a) + " (" +
-                 regs[in.args[a]].name + ") is not a constant and has no "
+                 prog.VarName(in.args[a]) + ") is not a constant and has no "
                  "defining instruction before `" + line() + "`");
       }
     }
@@ -182,7 +181,7 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
               if (first_mismatch.empty()) {
                 first_mismatch =
                     "argument " + StrFormat("%zu", a) + " (" +
-                    regs[in.args[a]].name + ") is " + RKName(rs.kind) +
+                    prog.VarName(in.args[a]) + ") is " + RKName(rs.kind) +
                     ", `" + in.name + "` needs " + AKName(s->ArgSpec(a)) +
                     " in `" + line() + "`";
               }
@@ -203,16 +202,16 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
     // Returns: single assignment into plain variable registers only.
     for (size_t r = 0; r < in.rets.size(); ++r) {
       const int reg = in.rets[r];
-      if (regs[reg].is_const || regs[reg].is_obj) {
+      if (prog.IsConst(reg) || prog.IsObj(reg)) {
         diag("const-assign", ii,
              "return " + StrFormat("%zu", r) + " writes " +
-                 (regs[reg].is_obj ? "object" : "constant") + " register " +
-                 regs[reg].name + " in `" + line() + "`");
+                 (prog.IsObj(reg) ? "object" : "constant") + " register " +
+                 prog.VarName(reg) + " in `" + line() + "`");
         continue;
       }
       if (state[reg].defined) {
         diag("double-assign", ii,
-             "register " + regs[reg].name +
+             "register " + prog.VarName(reg) +
                  (state[reg].def_instr >= 0
                       ? StrFormat(" already assigned by #%d",
                                   state[reg].def_instr)
@@ -253,7 +252,7 @@ std::vector<VerifyDiag> VerifyProgramDiags(const MalProgram& prog) {
     if (!state[rc.reg].defined) {
       diag("result-undefined", -1,
            "result column `" + rc.name + "` names register " +
-               regs[rc.reg].name + ", which no instruction defines");
+               prog.VarName(rc.reg) + ", which no instruction defines");
     }
   }
 

@@ -1,10 +1,10 @@
 #include "src/sql/lexer.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
-#include <unordered_set>
 
 #include "src/common/string_util.h"
 
@@ -13,29 +13,99 @@ namespace sql {
 
 namespace {
 
-const std::unordered_set<std::string>& Keywords() {
-  static const auto* kw = new std::unordered_set<std::string>{
-      "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
-      "DESC", "LIMIT", "AS", "CREATE", "TABLE", "ARRAY", "DIMENSION",
-      "DEFAULT", "INT", "INTEGER", "BIGINT", "SMALLINT", "LONG", "DOUBLE",
-      "FLOAT", "REAL", "BOOLEAN", "BOOL", "VARCHAR", "STRING", "TEXT", "CHAR",
-      "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "DROP", "ALTER",
-      "RANGE", "CASE", "WHEN", "THEN", "ELSE", "END", "NULL", "IS", "NOT",
-      "IN", "BETWEEN", "AND", "OR", "MOD", "DISTINCT", "COUNT", "SUM", "AVG",
-      "MIN", "MAX", "ABS", "JOIN", "INNER", "ON", "TRUE", "FALSE", "EXPLAIN",
-      "ANALYZE",
-  };
-  return *kw;
+struct KeywordEntry {
+  const char* text;
+  Kw kw;
+};
+
+constexpr KeywordEntry kKeywords[] = {
+#define SCIQL_KW_ENTRY(id, text) {text, Kw::id},
+    SCIQL_SQL_KEYWORDS(SCIQL_KW_ENTRY)
+#undef SCIQL_KW_ENTRY
+};
+constexpr size_t kNumKeywords = sizeof(kKeywords) / sizeof(kKeywords[0]);
+
+/// The keywords sorted by spelling, and the longest spelling.
+struct KeywordIndex {
+  KeywordEntry sorted[kNumKeywords];
+  size_t max_len = 0;
+};
+
+const KeywordIndex& Keywords() {
+  static const KeywordIndex index = [] {
+    KeywordIndex k;
+    std::copy(std::begin(kKeywords), std::end(kKeywords), k.sorted);
+    std::sort(std::begin(k.sorted), std::end(k.sorted),
+              [](const KeywordEntry& a, const KeywordEntry& b) {
+                return std::strcmp(a.text, b.text) < 0;
+              });
+    for (const KeywordEntry& e : kKeywords) {
+      k.max_len = std::max(k.max_len, std::strlen(e.text));
+    }
+    return k;
+  }();
+  return index;
 }
+
+/// The keyword spelled by sql[start, start+len) in any case, or kNone.
+Kw LookupKeyword(const std::string& sql, size_t start, size_t len) {
+  const KeywordIndex& k = Keywords();
+  if (len > k.max_len) return Kw::kNone;
+  char upper[16];
+  for (size_t j = 0; j < len; ++j) {
+    upper[j] = static_cast<char>(
+        std::toupper(static_cast<unsigned char>(sql[start + j])));
+  }
+  upper[len] = '\0';
+  const KeywordEntry* end = k.sorted + kNumKeywords;
+  const KeywordEntry* it = std::lower_bound(
+      k.sorted, end, upper, [](const KeywordEntry& e, const char* w) {
+        return std::strcmp(e.text, w) < 0;
+      });
+  return it != end && std::strcmp(it->text, upper) == 0 ? it->kw : Kw::kNone;
+}
+
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
 
 }  // namespace
 
-bool IsReservedKeyword(const std::string& upper) {
-  return Keywords().count(upper) > 0;
+const char* KwText(Kw kw) {
+  switch (kw) {
+#define SCIQL_KW_CASE(id, text) \
+  case Kw::id:                  \
+    return text;
+    SCIQL_SQL_KEYWORDS(SCIQL_KW_CASE)
+#undef SCIQL_KW_CASE
+    case Kw::kNone:
+      break;
+  }
+  return "";
 }
 
-bool Token::IsKeyword(const char* kw) const {
-  return type == TokenType::kKeyword && text == kw;
+const char* OpText(Op op) {
+  switch (op) {
+    case Op::kPlus: return "+";
+    case Op::kMinus: return "-";
+    case Op::kStar: return "*";
+    case Op::kSlash: return "/";
+    case Op::kPercent: return "%";
+    case Op::kEq: return "=";
+    case Op::kNe: return "!=";
+    case Op::kLt: return "<";
+    case Op::kLe: return "<=";
+    case Op::kGt: return ">";
+    case Op::kGe: return ">=";
+    case Op::kLParen: return "(";
+    case Op::kRParen: return ")";
+    case Op::kLBracket: return "[";
+    case Op::kRBracket: return "]";
+    case Op::kComma: return ",";
+    case Op::kSemicolon: return ";";
+    case Op::kDot: return ".";
+    case Op::kColon: return ":";
+    case Op::kNone: break;
+  }
+  return "";
 }
 
 std::string Token::Describe() const {
@@ -45,199 +115,219 @@ std::string Token::Describe() const {
     case TokenType::kIdentifier:
       return "identifier '" + text + "'";
     case TokenType::kKeyword:
-      return "keyword " + text;
+      return std::string("keyword ") + KwText(kw);
     case TokenType::kIntLiteral:
     case TokenType::kFloatLiteral:
       return "number '" + text + "'";
     case TokenType::kStrLiteral:
       return "string literal";
     case TokenType::kOperator:
-      return "'" + text + "'";
+      return std::string("'") + OpText(op) + "'";
   }
   return "?";
 }
 
-Result<std::vector<Token>> Tokenize(const std::string& sql) {
-  std::vector<Token> out;
-  size_t i = 0;
-  size_t line = 1;
-  size_t line_start = 0;
-  auto col = [&](size_t pos) { return pos - line_start + 1; };
-
-  while (i < sql.size()) {
+Status Lexer::Next(Token* t) {
+  const std::string& sql = sql_;
+  const size_t n = sql.size();
+  size_t i = i_;
+  // After an error the lexer stands at the end of input.
+  auto fail = [&](Status st) {
+    i_ = n;
+    return st;
+  };
+  // Whitespace and comments (-- to end of line).
+  while (i < n) {
     char c = sql[i];
     if (c == '\n') {
-      ++line;
+      ++line_;
       ++i;
-      line_start = i;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+      line_start_ = i;
+    } else if (std::isspace(static_cast<unsigned char>(c))) {
       ++i;
-      continue;
+    } else if (c == '-' && i + 1 < n && sql[i + 1] == '-') {
+      while (i < n && sql[i] != '\n') ++i;
+    } else {
+      break;
     }
-    // Comments: -- to end of line.
-    if (c == '-' && i + 1 < sql.size() && sql[i + 1] == '-') {
-      while (i < sql.size() && sql[i] != '\n') ++i;
-      continue;
-    }
-
-    Token t;
-    t.line = line;
-    t.col = col(i);
-    t.offset = i;
-
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < sql.size() && (std::isalnum(static_cast<unsigned char>(sql[i])) ||
-                                sql[i] == '_')) {
-        ++i;
-      }
-      std::string word = sql.substr(start, i - start);
-      std::string upper = ToUpper(word);
-      if (Keywords().count(upper) > 0) {
-        t.type = TokenType::kKeyword;
-        t.text = upper;
-      } else {
-        t.type = TokenType::kIdentifier;
-        t.text = word;
-      }
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    if (c == '"') {
-      // Quoted identifier.
-      size_t start = ++i;
-      while (i < sql.size() && sql[i] != '"') ++i;
-      if (i >= sql.size()) {
-        return Status::ParseError(
-            StrFormat("unterminated quoted identifier at line %zu", line));
-      }
-      t.type = TokenType::kIdentifier;
-      t.text = sql.substr(start, i - start);
-      ++i;
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < sql.size() &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-      size_t start = i;
-      bool is_float = false;
-      while (i < sql.size() && std::isdigit(static_cast<unsigned char>(sql[i]))) {
-        ++i;
-      }
-      if (i < sql.size() && sql[i] == '.') {
-        is_float = true;
-        ++i;
-        while (i < sql.size() &&
-               std::isdigit(static_cast<unsigned char>(sql[i]))) {
-          ++i;
-        }
-      }
-      if (i < sql.size() && (sql[i] == 'e' || sql[i] == 'E')) {
-        size_t save = i;
-        ++i;
-        if (i < sql.size() && (sql[i] == '+' || sql[i] == '-')) ++i;
-        if (i < sql.size() && std::isdigit(static_cast<unsigned char>(sql[i]))) {
-          is_float = true;
-          while (i < sql.size() &&
-                 std::isdigit(static_cast<unsigned char>(sql[i]))) {
-            ++i;
-          }
-        } else {
-          i = save;  // not an exponent; leave 'e' for the next token
-        }
-      }
-      t.text = sql.substr(start, i - start);
-      if (is_float) {
-        t.type = TokenType::kFloatLiteral;
-        t.float_val = std::strtod(t.text.c_str(), nullptr);
-      } else {
-        t.type = TokenType::kIntLiteral;
-        // The digits are lexed unsigned (a leading '-' is the unary-minus
-        // operator), so parse the magnitude and range-check it explicitly —
-        // strtoll would silently saturate out-of-range literals to
-        // INT64_MAX. The magnitude 2^63 is one past INT64_MAX but exactly
-        // -INT64_MIN: it is tagged rather than rejected so the parser can
-        // accept it under unary minus (-9223372036854775808 round-trips to
-        // INT64_MIN) and reject it everywhere else.
-        constexpr unsigned long long kMinMagnitude = 9223372036854775808ULL;
-        errno = 0;
-        unsigned long long mag = std::strtoull(t.text.c_str(), nullptr, 10);
-        if (errno == ERANGE || mag > kMinMagnitude) {
-          return Status::ParseError(StrFormat(
-              "integer literal '%s' is out of range at line %zu column %zu",
-              t.text.c_str(), line, t.col));
-        }
-        if (mag == kMinMagnitude) {
-          t.int_min_magnitude = true;
-          t.int_val = std::numeric_limits<int64_t>::min();
-        } else {
-          t.int_val = static_cast<int64_t>(mag);
-        }
-      }
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    if (c == '\'') {
-      std::string value;
-      ++i;
-      bool closed = false;
-      while (i < sql.size()) {
-        if (sql[i] == '\'') {
-          if (i + 1 < sql.size() && sql[i + 1] == '\'') {
-            value.push_back('\'');  // '' escape
-            i += 2;
-            continue;
-          }
-          closed = true;
-          ++i;
-          break;
-        }
-        value.push_back(sql[i]);
-        ++i;
-      }
-      if (!closed) {
-        return Status::ParseError(
-            StrFormat("unterminated string literal at line %zu", line));
-      }
-      t.type = TokenType::kStrLiteral;
-      t.text = std::move(value);
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    // Multi-char operators first.
-    auto two = i + 1 < sql.size() ? sql.substr(i, 2) : std::string();
-    if (two == "<>" || two == "!=" || two == "<=" || two == ">=") {
-      t.type = TokenType::kOperator;
-      t.text = two == "<>" ? "!=" : two;
-      i += 2;
-      out.push_back(std::move(t));
-      continue;
-    }
-    static const std::string kSingles = "+-*/%=<>()[],;.:";
-    if (kSingles.find(c) != std::string::npos) {
-      t.type = TokenType::kOperator;
-      t.text = std::string(1, c);
-      ++i;
-      out.push_back(std::move(t));
-      continue;
-    }
-    return Status::ParseError(StrFormat(
-        "unexpected character '%c' at line %zu column %zu", c, line, col(i)));
   }
 
-  Token eof;
-  eof.type = TokenType::kEof;
-  eof.line = line;
-  eof.col = col(i);
-  eof.offset = i;
-  out.push_back(eof);
+  t->kw = Kw::kNone;
+  t->op = Op::kNone;
+  t->int_min_magnitude = false;
+  t->text.clear();
+  t->int_val = 0;
+  t->float_val = 0.0;
+  t->line = line_;
+  t->col = i - line_start_ + 1;
+  t->offset = i;
+  if (i >= n) {
+    t->type = TokenType::kEof;
+    i_ = i;
+    return Status::OK();
+  }
+
+  const char c = sql[i];
+  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    size_t start = i;
+    while (i < n &&
+           (std::isalnum(static_cast<unsigned char>(sql[i])) || sql[i] == '_')) {
+      ++i;
+    }
+    t->kw = LookupKeyword(sql, start, i - start);
+    if (t->kw != Kw::kNone) {
+      t->type = TokenType::kKeyword;
+    } else {
+      t->type = TokenType::kIdentifier;
+      t->text.assign(sql, start, i - start);
+    }
+    i_ = i;
+    return Status::OK();
+  }
+
+  if (c == '"') {
+    // Quoted identifier.
+    size_t start = ++i;
+    while (i < n && sql[i] != '"') ++i;
+    if (i >= n) {
+      return fail(Status::ParseError(
+          StrFormat("unterminated quoted identifier at line %zu", line_)));
+    }
+    t->type = TokenType::kIdentifier;
+    t->text.assign(sql, start, i - start);
+    i_ = i + 1;
+    return Status::OK();
+  }
+
+  if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(sql[i + 1]))) {
+    // The digits are lexed unsigned (a leading '-' is the unary-minus
+    // operator), and the magnitude is range-checked explicitly. The
+    // magnitude 2^63 is one past INT64_MAX but exactly -INT64_MIN: it is
+    // tagged rather than rejected so the parser can accept it under unary
+    // minus (-9223372036854775808 round-trips to INT64_MIN) and reject it
+    // everywhere else.
+    constexpr uint64_t kMinMagnitude = 9223372036854775808ULL;
+    size_t start = i;
+    bool is_float = false;
+    bool too_big = false;
+    uint64_t mag = 0;
+    while (i < n && IsDigit(sql[i])) {
+      // Checked before the multiply, so mag never wraps; once past 2^63
+      // the literal is out of range whatever digits follow.
+      uint64_t d = static_cast<uint64_t>(sql[i] - '0');
+      if (too_big || mag > (kMinMagnitude - d) / 10) {
+        too_big = true;
+      } else {
+        mag = mag * 10 + d;
+      }
+      ++i;
+    }
+    if (i < n && sql[i] == '.') {
+      is_float = true;
+      ++i;
+      while (i < n && IsDigit(sql[i])) ++i;
+    }
+    if (i < n && (sql[i] == 'e' || sql[i] == 'E')) {
+      size_t save = i;
+      ++i;
+      if (i < n && (sql[i] == '+' || sql[i] == '-')) ++i;
+      if (i < n && IsDigit(sql[i])) {
+        is_float = true;
+        while (i < n && IsDigit(sql[i])) ++i;
+      } else {
+        i = save;  // not an exponent; leave 'e' for the next token
+      }
+    }
+    t->text.assign(sql, start, i - start);
+    if (is_float) {
+      t->type = TokenType::kFloatLiteral;
+      t->float_val = std::strtod(t->text.c_str(), nullptr);
+    } else {
+      t->type = TokenType::kIntLiteral;
+      if (too_big) {
+        return fail(Status::ParseError(StrFormat(
+            "integer literal '%s' is out of range at line %zu column %zu",
+            t->text.c_str(), line_, t->col)));
+      }
+      if (mag == kMinMagnitude) {
+        t->int_min_magnitude = true;
+        t->int_val = std::numeric_limits<int64_t>::min();
+      } else {
+        t->int_val = static_cast<int64_t>(mag);
+      }
+    }
+    i_ = i;
+    return Status::OK();
+  }
+
+  if (c == '\'') {
+    ++i;
+    while (i < n) {
+      if (sql[i] == '\'') {
+        if (i + 1 < n && sql[i + 1] == '\'') {
+          t->text.push_back('\'');  // '' escape
+          i += 2;
+          continue;
+        }
+        t->type = TokenType::kStrLiteral;
+        i_ = i + 1;
+        return Status::OK();
+      }
+      t->text.push_back(sql[i]);
+      ++i;
+    }
+    return fail(Status::ParseError(
+        StrFormat("unterminated string literal at line %zu", line_)));
+  }
+
+  const char next = i + 1 < n ? sql[i + 1] : '\0';
+  Op op = Op::kNone;
+  size_t len = 1;
+  switch (c) {
+    case '+': op = Op::kPlus; break;
+    case '-': op = Op::kMinus; break;
+    case '*': op = Op::kStar; break;
+    case '/': op = Op::kSlash; break;
+    case '%': op = Op::kPercent; break;
+    case '=': op = Op::kEq; break;
+    case '(': op = Op::kLParen; break;
+    case ')': op = Op::kRParen; break;
+    case '[': op = Op::kLBracket; break;
+    case ']': op = Op::kRBracket; break;
+    case ',': op = Op::kComma; break;
+    case ';': op = Op::kSemicolon; break;
+    case '.': op = Op::kDot; break;
+    case ':': op = Op::kColon; break;
+    case '<':
+      op = next == '=' ? Op::kLe : next == '>' ? Op::kNe : Op::kLt;
+      break;
+    case '>':
+      op = next == '=' ? Op::kGe : Op::kGt;
+      break;
+    case '!':
+      if (next == '=') op = Op::kNe;
+      break;
+    default:
+      break;
+  }
+  if (op == Op::kNone) {
+    return fail(Status::ParseError(StrFormat(
+        "unexpected character '%c' at line %zu column %zu", c, line_, t->col)));
+  }
+  if (op == Op::kLe || op == Op::kGe || op == Op::kNe) len = 2;
+  t->type = TokenType::kOperator;
+  t->op = op;
+  i_ = i + len;
+  return Status::OK();
+}
+
+Result<std::vector<Token>> Tokenize(const std::string& sql) {
+  std::vector<Token> out;
+  Lexer lexer(sql);
+  do {
+    out.emplace_back();
+    SCIQL_RETURN_NOT_OK(lexer.Next(&out.back()));
+  } while (out.back().type != TokenType::kEof);
   return out;
 }
 

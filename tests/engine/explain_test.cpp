@@ -168,6 +168,28 @@ TEST_F(ExplainTest, ImpureWritesSurviveOptimization) {
   EXPECT_NE(plan.find("__pos"), std::string::npos);
 }
 
+TEST_F(ExplainTest, MultiRowInsertPlanIsPinned) {
+  ASSERT_TRUE(
+      db_.Run("CREATE TABLE t (a INT, b DOUBLE, c VARCHAR, d INT)").ok());
+  // Repeated literals share one constant register each, so the repeated
+  // 1 / 0 (kept, since it fails at run time) is one instruction; 1.0 and 1,
+  // and -0.0 and 0.0, are distinct constants although 1.0 renders as 1.
+  // Variables are numbered in the order the compiler makes them.
+  std::string plan = Explain(
+      "INSERT INTO t VALUES (1 / 0, 2.5, 'a', NULL), (1 / 0, 2.5, 'a', NULL), "
+      "(1.0 / 0, -0.0, 'a', 7), (2 / 0, 0.0, 'b', NULL), "
+      "(1 / 0, 1.0000001, 'b', 7)");
+  EXPECT_EQ(plan,
+            "e_0 := batcalc./(1, 0);\n"
+            "e_2 := batcalc./(1, 0);\n"
+            "e_3 := batcalc./(2, 0);\n"
+            "v0_5 := bat.pack(e_0, e_0, e_2, e_3, e_0);\n"
+            "v1_6 := bat.pack(2.5, 2.5, -0, 0, 1);\n"
+            "v2_7 := bat.pack('a', 'a', 'a', 'b', 'b');\n"
+            "v3_8 := bat.pack(null, null, 7, null, 7);\n"
+            "io.result(col1=v0_5, col2=v1_6, col3=v2_7, col4=v3_8);\n");
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace sciql

@@ -114,8 +114,8 @@ TEST(OptimizerTest, ConstantFolding) {
   ASSERT_TRUE(Optimize(&prog, &stats).ok());
   EXPECT_GE(stats.folded, 1u);
   EXPECT_TRUE(prog.instrs().empty());
-  EXPECT_TRUE(prog.regs()[static_cast<size_t>(c)].is_const);
-  EXPECT_EQ(prog.regs()[static_cast<size_t>(c)].cval.i, 42);
+  EXPECT_TRUE(prog.IsConst(c));
+  EXPECT_EQ(prog.ConstValue(c).i, 42);
 }
 
 TEST(OptimizerTest, DeadCodeElimination) {

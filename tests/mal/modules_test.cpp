@@ -1,10 +1,14 @@
 // MAL operation coverage beyond the basics: bat.* helpers, algebra.orderidx
 // / slice / njoin, catalog-backed sql.* ops, the array module through the
-// interpreter, and the arity check dispatch makes for every op-table row.
+// interpreter, the arity check dispatch makes for every op-table row, and
+// the count check of every count-taking kernel.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "src/array/tiling.h"
 #include "src/mal/interpreter.h"
@@ -287,6 +291,101 @@ TEST(MalModulesTest, DispatchRejectsWrongArityForEveryOp) {
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("sql.ddl"), std::string::npos) << st.ToString();
 
+  GetVerifyControls() = saved;
+}
+
+// Every count-taking kernel refuses a negative count with a status naming
+// the op. Cast to size_t, -1 would ask for 2^64 - 1 entries and throw
+// std::length_error out of Run (or wrap to a huge loop bound).
+TEST(MalModulesTest, NegativeCountsFailWithStatus) {
+  VerifyControls saved = GetVerifyControls();
+  GetVerifyControls().enabled = false;
+  struct Case {
+    std::string op;
+    std::function<void(MalProgram*)> emit;
+  };
+  auto lng = [](MalProgram* p, int64_t v) {
+    return p->Const(ScalarValue::Lng(v));
+  };
+  auto bats = [](MalProgram* p) { return SeriesReg(p, 0, 1, 3); };
+  std::vector<Case> cases = {
+      {"bat.dense",
+       [&](MalProgram* p) { p->EmitR("bat", "dense", {lng(p, -1)}, "r"); }},
+      {"algebra.crossjoin",
+       [&](MalProgram* p) {
+         p->Emit("algebra", "crossjoin", {p->NewReg("l"), p->NewReg("r")},
+                 {lng(p, -1), lng(p, 2)});
+       }},
+      {"algebra.crossjoin",
+       [&](MalProgram* p) {
+         p->Emit("algebra", "crossjoin", {p->NewReg("l"), p->NewReg("r")},
+                 {lng(p, 2), lng(p, -1)});
+       }},
+      {"batcalc.const",
+       [&](MalProgram* p) {
+         p->EmitR("batcalc", "const", {lng(p, 7), lng(p, -1)}, "r");
+       }},
+      {"group.subgroup",
+       [&](MalProgram* p) {
+         int b = bats(p);
+         p->Emit("group", "subgroup",
+                 {p->NewReg("g"), p->NewReg("e"), p->NewReg("n")},
+                 {b, b, lng(p, -1)});
+       }},
+      {"aggr.count_star",
+       [&](MalProgram* p) {
+         p->EmitR("aggr", "count_star", {bats(p), lng(p, -1)}, "r");
+       }},
+      {"array.series",
+       [&](MalProgram* p) {
+         p->EmitR("array", "series",
+                  {lng(p, 0), lng(p, 1), lng(p, 3), lng(p, -1), lng(p, 1)},
+                  "r");
+       }},
+      {"array.series",
+       [&](MalProgram* p) {
+         p->EmitR("array", "series",
+                  {lng(p, 0), lng(p, 1), lng(p, 3), lng(p, 1), lng(p, -1)},
+                  "r");
+       }},
+      {"array.filler",
+       [&](MalProgram* p) {
+         p->EmitR("array", "filler", {lng(p, -1), lng(p, 0)}, "r");
+       }},
+  };
+  for (const char* fn : {"sum", "avg", "min", "max", "count"}) {
+    cases.push_back({std::string("aggr.") + fn, [&, fn](MalProgram* p) {
+                       int b = bats(p);
+                       p->EmitR("aggr", fn, {b, b, lng(p, -1)}, "r");
+                     }});
+  }
+  for (const Case& c : cases) {
+    MalProgram prog;
+    c.emit(&prog);
+    MalContext ctx(nullptr);
+    Status st = MalEngine::Global().Run(prog, &ctx);
+    ASSERT_FALSE(st.ok()) << c.op;
+    EXPECT_NE(st.message().find(c.op), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find("negative count"), std::string::npos)
+        << st.ToString();
+  }
+  GetVerifyControls() = saved;
+}
+
+// Without the verifier, an instruction whose result register is a constant
+// or an object fails at dispatch instead of writing over the program.
+TEST(MalModulesTest, ResultsMustBeVariables) {
+  VerifyControls saved = GetVerifyControls();
+  GetVerifyControls().enabled = false;
+  MalProgram prog;
+  int seven = prog.Const(ScalarValue::Lng(7));
+  prog.Emit("bat", "dense", {seven}, {prog.Const(ScalarValue::Lng(3))});
+  MalContext ctx(nullptr);
+  Status st = MalEngine::Global().Run(prog, &ctx);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("bat.dense"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(prog.ConstValue(seven).i, 7);
   GetVerifyControls() = saved;
 }
 

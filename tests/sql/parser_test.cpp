@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 namespace sciql {
@@ -253,6 +254,99 @@ TEST(ParserTest, RoundTripToString) {
     EXPECT_TRUE(again.ok()) << st->ToString() << " -> "
                             << again.status().ToString();
   }
+}
+
+TEST(ParserTest, ValuesRowsRenderUnchanged) {
+  // Literals, negated literals, NULL, strings with '' escapes, doubles and
+  // scalar expressions in one VALUES list; the rendering is pinned.
+  auto st = MustParse(
+      "INSERT INTO t VALUES (1, -2, NULL, 'a''b', 2.5, -0.0, 1 + 2, ABS(-4), "
+      "CASE WHEN 1 < 2 THEN 'x' ELSE 'y' END), (2147483648, -2147483648, "
+      "-NULL, '', 1e3, -1.5e-3, -(3), - -4, TRUE), (-9223372036854775808, "
+      "9223372036854775807, FALSE, 'it''s', .5, 7 * -2, -x, f(1, -2), "
+      "NOT TRUE)");
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->ToString(),
+            "INSERT INTO t VALUES (1, -2, null, 'a'b', 2.5, -0, (1 + 2), "
+            "abs(-4), CASE WHEN (1 < 2) THEN 'x' ELSE 'y' END), (2147483648, "
+            "-2147483648, -(null), '', 1000, -0.0015, -3, 4, true), "
+            "(-9223372036854775808, 9223372036854775807, false, 'it's', 0.5, "
+            "(7 * -2), -(x), f(1, -2), not(true))");
+  ASSERT_EQ(st->insert_values.size(), 3u);
+  // Integer literals are typed by magnitude, before a unary minus folds in.
+  const auto& r0 = st->insert_values[0];
+  const auto& r1 = st->insert_values[1];
+  const auto& r2 = st->insert_values[2];
+  EXPECT_EQ(r0[0]->literal.type, gdk::PhysType::kInt);
+  EXPECT_EQ(r0[1]->literal.type, gdk::PhysType::kInt);
+  EXPECT_EQ(r0[1]->literal.i, -2);
+  EXPECT_TRUE(r0[2]->literal.is_null);
+  EXPECT_EQ(r0[3]->literal.s, "a'b");
+  EXPECT_TRUE(std::signbit(r0[5]->literal.d));
+  EXPECT_EQ(r0[6]->kind, Expr::Kind::kBinary);
+  EXPECT_EQ(r1[0]->literal.type, gdk::PhysType::kLng);
+  EXPECT_EQ(r1[1]->literal.type, gdk::PhysType::kLng);
+  EXPECT_EQ(r1[1]->literal.i, -2147483648LL);
+  EXPECT_EQ(r1[2]->kind, Expr::Kind::kUnary);
+  EXPECT_EQ(r1[6]->literal.i, -3);
+  EXPECT_EQ(r1[7]->literal.i, 4);
+  EXPECT_EQ(r2[0]->literal.type, gdk::PhysType::kLng);
+  EXPECT_EQ(r2[0]->literal.i, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(r2[2]->literal.type, gdk::PhysType::kBit);
+}
+
+TEST(ParserTest, LoneLiteralBuildsWhatTheDescentBuilds) {
+  // Followed by ',' a literal skips the descent; followed by AS it takes
+  // it. Both must build the same node.
+  const char* literals[] = {
+      "0", "5", "-5", "2147483647", "-2147483647", "2147483648",
+      "-2147483648", "-2147483649", "9223372036854775807",
+      "-9223372036854775807", "-9223372036854775808", "1.5", "-1.5", "0.0",
+      "-0.0", "1e308", "-2.5e-3", ".5", "'s'", "''", "'it''s'", "NULL",
+      "TRUE", "FALSE", "-NULL", "- 5", "- -5", "-'s'", "+5"};
+  for (const char* lit : literals) {
+    std::string shortcut = std::string("SELECT ") + lit + ", 0";
+    std::string descent = std::string("SELECT ") + lit + " AS c";
+    auto a = MustParse(shortcut);
+    auto b = MustParse(descent);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    const Expr& ea = *a->select->items[0].expr;
+    const Expr& eb = *b->select->items[0].expr;
+    EXPECT_EQ(ea.kind, eb.kind) << lit;
+    EXPECT_EQ(ea.ToString(), eb.ToString()) << lit;
+    EXPECT_EQ(ea.children.size(), eb.children.size()) << lit;
+    EXPECT_EQ(ea.literal.type, eb.literal.type) << lit;
+    EXPECT_EQ(ea.literal.is_null, eb.literal.is_null) << lit;
+    EXPECT_EQ(ea.literal.i, eb.literal.i) << lit;
+    EXPECT_EQ(std::signbit(ea.literal.d), std::signbit(eb.literal.d)) << lit;
+    EXPECT_EQ(ea.literal.d, eb.literal.d) << lit;
+    EXPECT_EQ(ea.literal.s, eb.literal.s) << lit;
+  }
+  // 2^63 alone fails the same way on both.
+  auto a = ParseOne("SELECT 9223372036854775808, 0");
+  auto b = ParseOne("SELECT 9223372036854775808 AS c");
+  ASSERT_FALSE(a.ok());
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(a.status().ToString(), b.status().ToString());
+}
+
+TEST(ParserTest, LexErrorAnywhereFailsTheText) {
+  // A malformed token fails the text even after an earlier parse error or
+  // a complete statement, as when the text was tokenized before parsing.
+  auto late = Parse("SELECT FROM t; SELECT 'oops");
+  ASSERT_FALSE(late.ok());
+  EXPECT_NE(late.status().message().find("unterminated string literal"),
+            std::string::npos)
+      << late.status().ToString();
+  auto trailing = Parse("SELECT 1 @");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_NE(trailing.status().message().find("unexpected character '@'"),
+            std::string::npos)
+      << trailing.status().ToString();
+  auto second = Parse("SELECT 1; SELECT 99999999999999999999");
+  ASSERT_FALSE(second.ok());
+  EXPECT_NE(second.status().message().find("out of range"), std::string::npos);
 }
 
 }  // namespace
