@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "src/common/string_util.h"
 
@@ -25,10 +26,22 @@ constexpr KeywordEntry kKeywords[] = {
 };
 constexpr size_t kNumKeywords = sizeof(kKeywords) / sizeof(kKeywords[0]);
 
-/// The keywords sorted by spelling, and the longest spelling.
+/// LookupKeyword uppercases a word into a buffer of this many characters
+/// and a terminator; a longer word is never a keyword.
+constexpr size_t kMaxKeywordLen = 15;
+
+constexpr bool KeywordsFitLookupBuffer() {
+  for (const KeywordEntry& e : kKeywords) {
+    if (std::char_traits<char>::length(e.text) > kMaxKeywordLen) return false;
+  }
+  return true;
+}
+static_assert(KeywordsFitLookupBuffer(),
+              "a keyword is longer than kMaxKeywordLen");
+
+/// The keywords sorted by spelling.
 struct KeywordIndex {
   KeywordEntry sorted[kNumKeywords];
-  size_t max_len = 0;
 };
 
 const KeywordIndex& Keywords() {
@@ -39,9 +52,6 @@ const KeywordIndex& Keywords() {
               [](const KeywordEntry& a, const KeywordEntry& b) {
                 return std::strcmp(a.text, b.text) < 0;
               });
-    for (const KeywordEntry& e : kKeywords) {
-      k.max_len = std::max(k.max_len, std::strlen(e.text));
-    }
     return k;
   }();
   return index;
@@ -49,14 +59,14 @@ const KeywordIndex& Keywords() {
 
 /// The keyword spelled by sql[start, start+len) in any case, or kNone.
 Kw LookupKeyword(const std::string& sql, size_t start, size_t len) {
-  const KeywordIndex& k = Keywords();
-  if (len > k.max_len) return Kw::kNone;
-  char upper[16];
+  char upper[kMaxKeywordLen + 1];
+  if (len >= sizeof(upper)) return Kw::kNone;
   for (size_t j = 0; j < len; ++j) {
     upper[j] = static_cast<char>(
         std::toupper(static_cast<unsigned char>(sql[start + j])));
   }
   upper[len] = '\0';
+  const KeywordIndex& k = Keywords();
   const KeywordEntry* end = k.sorted + kNumKeywords;
   const KeywordEntry* it = std::lower_bound(
       k.sorted, end, upper, [](const KeywordEntry& e, const char* w) {

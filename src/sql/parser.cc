@@ -475,48 +475,24 @@ class Parser {
   // -------------------------------------------------------------------------
 
   Result<ExprPtr> ParseExpr() {
-    if (ExprPtr lit = LoneLiteral()) return lit;
+    if (AtLoneLiteral()) return ParseUnaryExpr();
     return ParseOr();
   }
 
-  /// A literal that is a whole expression: a literal token, or a number
-  /// under one unary minus, directly followed by ',' or ')', which no level
-  /// of the descent below extends. Builds exactly the Expr the descent
-  /// builds for it, so VALUES rows and argument lists skip the descent's
-  /// frames; null, with nothing consumed, for anything else.
-  ExprPtr LoneLiteral() {
+  /// Whether the next tokens are a literal that is a whole expression: a
+  /// literal token, or a number under one unary minus, directly followed by
+  /// ',' or ')'. No level between ParseOr and ParseUnaryExpr extends such a
+  /// literal, so VALUES rows and argument lists enter the descent there.
+  bool AtLoneLiteral() {
     const bool neg = Cur().Is(Op::kMinus);
     const Token& t = neg ? Peek(1) : Cur();
     const Token& follow = Peek(neg ? 2 : 1);
-    if (!follow.Is(Op::kComma) && !follow.Is(Op::kRParen)) return nullptr;
-    ExprPtr e;
-    if (t.type == TokenType::kIntLiteral) {
-      if (t.int_min_magnitude) {
-        // -9223372036854775808 folds to INT64_MIN; 2^63 alone is left for
-        // ParsePrimary to reject.
-        if (!neg) return nullptr;
-        e = Expr::Lit(gdk::ScalarValue::Lng(t.int_val));
-      } else {
-        // Typed by magnitude, then negated, as ParseUnaryExpr folds it.
-        e = Expr::Lit(IntLiteralValue(t.int_val));
-        if (neg) e->literal.i = -e->literal.i;
-      }
-    } else if (t.type == TokenType::kFloatLiteral) {
-      e = Expr::Lit(gdk::ScalarValue::Dbl(neg ? -t.float_val : t.float_val));
-    } else if (neg) {
-      return nullptr;  // -NULL, -'s' and the like stay unary expressions
-    } else if (t.type == TokenType::kStrLiteral) {
-      e = Expr::Lit(gdk::ScalarValue::Str(t.text));
-    } else if (t.Is(Kw::kNull)) {
-      e = Expr::Lit(gdk::ScalarValue::Null(gdk::PhysType::kInt));
-    } else if (t.Is(Kw::kTrue) || t.Is(Kw::kFalse)) {
-      e = Expr::Lit(gdk::ScalarValue::Bit(t.Is(Kw::kTrue)));
-    } else {
-      return nullptr;
+    if (!follow.Is(Op::kComma) && !follow.Is(Op::kRParen)) return false;
+    if (t.type == TokenType::kIntLiteral || t.type == TokenType::kFloatLiteral) {
+      return true;
     }
-    if (neg) Advance();
-    Advance();
-    return e;
+    return !neg && (t.type == TokenType::kStrLiteral || t.Is(Kw::kNull) ||
+                    t.Is(Kw::kTrue) || t.Is(Kw::kFalse));
   }
 
   /// An integer literal's value: INT when it fits in 32 bits, else BIGINT.

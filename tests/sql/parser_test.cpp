@@ -296,8 +296,8 @@ TEST(ParserTest, ValuesRowsRenderUnchanged) {
 }
 
 TEST(ParserTest, LoneLiteralBuildsWhatTheDescentBuilds) {
-  // Followed by ',' a literal skips the descent; followed by AS it takes
-  // it. Both must build the same node.
+  // Followed by ',' a literal enters the descent at the unary level;
+  // followed by AS it takes the whole descent. Both must build the same node.
   const char* literals[] = {
       "0", "5", "-5", "2147483647", "-2147483647", "2147483648",
       "-2147483648", "-2147483649", "9223372036854775807",
