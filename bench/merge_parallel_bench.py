@@ -9,6 +9,18 @@ import argparse
 import json
 import sys
 
+# Google Benchmark reports real_time and cpu_time in the benchmark's
+# time_unit (nanoseconds when the field is absent).
+NS_PER_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def to_ns(value, unit):
+    if value is None:
+        return None
+    if unit not in NS_PER_UNIT:
+        raise ValueError(f"unknown time_unit {unit!r}")
+    return value * NS_PER_UNIT[unit]
+
 
 def main():
     parser = argparse.ArgumentParser()
@@ -31,11 +43,12 @@ def main():
                 threads = int(threads)
             except ValueError:
                 continue
+            unit = b.get("time_unit", "ns")
             record = {
                 "op": op,
                 "threads": threads,
-                "real_time_ns": b.get("real_time"),
-                "cpu_time_ns": b.get("cpu_time"),
+                "real_time_ns": to_ns(b.get("real_time"), unit),
+                "cpu_time_ns": to_ns(b.get("cpu_time"), unit),
                 "items_per_second": b.get("items_per_second"),
             }
             # Benchmarks instrumented with a KernelObserver (bench_sort)

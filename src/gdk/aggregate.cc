@@ -94,11 +94,15 @@ struct Accum {
   bool any = false;
 };
 
+// Each accumulation loop returns false at the first group id that is not
+// below the group count: ids come from the plan (a hand-built one may be
+// wrong), and the accumulators are indexed by them.
 template <typename T>
-void AccumulateRange(const std::vector<T>& vals,
+bool AccumulateRange(const std::vector<T>& vals,
                      const std::vector<oid_t>& gids, size_t begin, size_t end,
                      std::vector<Accum>* accs) {
   for (size_t i = begin; i < end; ++i) {
+    if (gids[i] >= accs->size()) return false;
     const T& v = vals[i];
     if (TypeTraits<T>::IsNil(v)) continue;
     Accum& a = (*accs)[gids[i]];
@@ -119,6 +123,7 @@ void AccumulateRange(const std::vector<T>& vals,
     }
     a.any = true;
   }
+  return true;
 }
 
 void MergeAccum(Accum* into, const Accum& from) {
@@ -141,57 +146,96 @@ void MergeAccum(Accum* into, const Accum& from) {
 // are merged in morsel order, so floating-point sums are bit-identical at
 // any thread count.
 template <typename T>
-void Accumulate(const std::vector<T>& vals, const std::vector<oid_t>& gids,
+bool Accumulate(const std::vector<T>& vals, const std::vector<oid_t>& gids,
                 std::vector<Accum>* accs) {
   size_t n = vals.size();
   size_t ngroups = accs->size();
   size_t grain = AggGrain(n);
   size_t nmorsels = MorselCount(n, grain);
   if (nmorsels <= 1 || ngroups > kMaxParallelGroups) {
-    AccumulateRange(vals, gids, 0, n, accs);
-    return;
+    return AccumulateRange(vals, gids, 0, n, accs);
   }
   std::vector<std::vector<Accum>> parts(nmorsels);
+  std::vector<uint8_t> ok(nmorsels);
   ThreadPool::Get().ParallelFor(n, grain,
                                 [&](size_t m, size_t begin, size_t end) {
                                   parts[m].resize(ngroups);
-                                  AccumulateRange(vals, gids, begin, end,
-                                                  &parts[m]);
+                                  ok[m] = AccumulateRange(vals, gids, begin,
+                                                          end, &parts[m]);
                                 });
+  if (std::find(ok.begin(), ok.end(), 0) != ok.end()) return false;
   for (const auto& part : parts) {
     for (size_t g = 0; g < ngroups; ++g) {
       MergeAccum(&(*accs)[g], part[g]);
     }
   }
+  return true;
+}
+
+// Adds one to cnt[id] for every group id g[i] in [begin, end). False at an
+// id that is not below `bound`. COUNT(*) is little more than this loop, so
+// the ids are checked four at a time: one predictable branch per four rows
+// keeps the check off its critical path.
+bool CountIds(const oid_t* g, size_t begin, size_t end, size_t bound,
+              int64_t* cnt) {
+  size_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    oid_t a = g[i], b = g[i + 1], c = g[i + 2], d = g[i + 3];
+    if ((a >= bound) | (b >= bound) | (c >= bound) | (d >= bound)) {
+      return false;
+    }
+    cnt[a]++;
+    cnt[b]++;
+    cnt[c]++;
+    cnt[d]++;
+  }
+  for (; i < end; ++i) {
+    if (g[i] >= bound) return false;
+    cnt[g[i]]++;
+  }
+  return true;
 }
 
 // Per-group row counts (optionally skipping NULL values), morsel-parallel.
-std::vector<int64_t> CountPerGroup(const std::vector<oid_t>& gids,
-                                   size_t ngroups, const BAT* vals) {
-  std::vector<int64_t> counts(ngroups, 0);
+// False at a group id that is not below `ngroups`.
+bool CountPerGroup(const std::vector<oid_t>& gids, size_t ngroups,
+                   const BAT* vals, std::vector<int64_t>* counts) {
+  counts->assign(ngroups, 0);
   size_t n = gids.size();
   size_t grain = AggGrain(n);
   size_t nmorsels = MorselCount(n, grain);
   auto count_range = [&](std::vector<int64_t>* c, size_t begin, size_t end) {
+    const oid_t* g = gids.data();
+    int64_t* cnt = c->data();
+    const size_t bound = ngroups;
+    if (vals == nullptr) return CountIds(g, begin, end, bound, cnt);
     for (size_t i = begin; i < end; ++i) {
-      if (vals != nullptr && vals->IsNullAt(i)) continue;
-      (*c)[gids[i]]++;
+      if (g[i] >= bound) return false;
+      if (!vals->IsNullAt(i)) cnt[g[i]]++;
     }
+    return true;
   };
   if (nmorsels <= 1 || ngroups > kMaxParallelGroups) {
-    count_range(&counts, 0, n);
-    return counts;
+    return count_range(counts, 0, n);
   }
   std::vector<std::vector<int64_t>> parts(nmorsels);
+  std::vector<uint8_t> ok(nmorsels);
   ThreadPool::Get().ParallelFor(n, grain,
                                 [&](size_t m, size_t begin, size_t end) {
                                   parts[m].assign(ngroups, 0);
-                                  count_range(&parts[m], begin, end);
+                                  ok[m] = count_range(&parts[m], begin, end);
                                 });
+  if (std::find(ok.begin(), ok.end(), 0) != ok.end()) return false;
   for (const auto& part : parts) {
-    for (size_t g = 0; g < ngroups; ++g) counts[g] += part[g];
+    for (size_t g = 0; g < ngroups; ++g) (*counts)[g] += part[g];
   }
-  return counts;
+  return true;
+}
+
+Status GroupIdOutOfRange(AggOp op, size_t ngroups) {
+  return Status::InvalidArgument(
+      StrFormat("%s: a group id is not below the group count %zu",
+                AggOpName(op), ngroups));
 }
 
 }  // namespace
@@ -205,7 +249,9 @@ Result<BATPtr> GroupedAggregate(AggOp op, const BAT* vals, const BAT& groups,
 
   if (op == AggOp::kCountStar) {
     auto out = BAT::Make(PhysType::kLng);
-    out->lngs() = CountPerGroup(gids, ngroups, nullptr);
+    if (!CountPerGroup(gids, ngroups, nullptr, &out->lngs())) {
+      return GroupIdOutOfRange(op, ngroups);
+    }
     return out;
   }
 
@@ -218,7 +264,9 @@ Result<BATPtr> GroupedAggregate(AggOp op, const BAT* vals, const BAT& groups,
 
   if (op == AggOp::kCount) {
     auto out = BAT::Make(PhysType::kLng);
-    out->lngs() = CountPerGroup(gids, ngroups, vals);
+    if (!CountPerGroup(gids, ngroups, vals, &out->lngs())) {
+      return GroupIdOutOfRange(op, ngroups);
+    }
     return out;
   }
 
@@ -229,6 +277,7 @@ Result<BATPtr> GroupedAggregate(AggOp op, const BAT* vals, const BAT& groups,
       out->Reserve(ngroups);
       std::vector<int64_t> best(ngroups, -1);
       for (size_t i = 0; i < gids.size(); ++i) {
+        if (gids[i] >= ngroups) return GroupIdOutOfRange(op, ngroups);
         if (vals->IsNullAt(i)) continue;
         int64_t& b = best[gids[i]];
         if (b < 0) {
@@ -251,22 +300,24 @@ Result<BATPtr> GroupedAggregate(AggOp op, const BAT* vals, const BAT& groups,
   }
 
   std::vector<Accum> accs(ngroups);
+  bool in_range = false;
   switch (vals->type()) {
     case PhysType::kBit:
-      Accumulate(vals->bits(), gids, &accs);
+      in_range = Accumulate(vals->bits(), gids, &accs);
       break;
     case PhysType::kInt:
-      Accumulate(vals->ints(), gids, &accs);
+      in_range = Accumulate(vals->ints(), gids, &accs);
       break;
     case PhysType::kLng:
-      Accumulate(vals->lngs(), gids, &accs);
+      in_range = Accumulate(vals->lngs(), gids, &accs);
       break;
     case PhysType::kDbl:
-      Accumulate(vals->dbls(), gids, &accs);
+      in_range = Accumulate(vals->dbls(), gids, &accs);
       break;
     default:
       return Status::Internal("unreachable aggregate type");
   }
+  if (!in_range) return GroupIdOutOfRange(op, ngroups);
 
   bool is_dbl = vals->type() == PhysType::kDbl;
   switch (op) {

@@ -1,13 +1,21 @@
 // Grouping: map every row to a dense group id in first-encounter row order.
 //
-// Large inputs run a partitioned parallel build: each fixed morsel builds a
-// local first-encounter dictionary concurrently, the per-morsel dictionaries
-// are merged sequentially in morsel order (assigning the global group ids),
-// and a final parallel pass renumbers the per-row local ids through the
-// per-morsel local->global maps. Because morsel boundaries are fixed and the
+// Integer keys whose (previous group, value) domain fits in the row count
+// group through a direct-indexed slot table: a pass for the value range,
+// then one sequential pass that numbers the slots, with scratch in
+// proportion to the domain rather than the rows. Every other input
+// (DOUBLE, string, wide-range integers) groups through a hash table.
+//
+// Large hash-path inputs run a partitioned parallel build: each fixed
+// morsel builds a local first-encounter dictionary concurrently, the
+// per-morsel dictionaries are merged sequentially in morsel order
+// (assigning the global group ids), and a final parallel pass renumbers the
+// per-row local ids through the per-morsel local->global maps. Because morsel boundaries are fixed and the
 // dictionaries merge in morsel order, global ids are assigned in exactly the
 // first-encounter row order of a sequential scan — the output is
 // bit-identical at any thread count.
+
+#include <optional>
 
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
@@ -177,14 +185,128 @@ GroupResult PartitionedGroup(const BAT& b, const BAT* prev, size_t n,
   return res;
 }
 
+// The non-NULL value range of an integer key column: its smallest value
+// and max - min. The span is taken in unsigned arithmetic, so even an lng
+// column spanning INT64_MIN+1..INT64_MAX has a representable span. An
+// all-NULL column reports min 0, span 0.
+template <typename T>
+struct KeyRange {
+  T min{};
+  uint64_t span = 0;
+};
+
+template <typename T>
+KeyRange<T> RangeOf(const std::vector<T>& v) {
+  KeyRange<T> r;
+  T hi{};
+  bool any = false;
+  for (T x : v) {
+    if (TypeTraits<T>::IsNil(x)) continue;
+    if (!any) {
+      r.min = hi = x;
+      any = true;
+    } else if (x < r.min) {
+      r.min = x;
+    } else if (x > hi) {
+      hi = x;
+    }
+  }
+  r.span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(r.min);
+  return r;
+}
+
+// Dense grouping of an integer key column: slot (prev group, value) is
+// prev * width + (NULL ? 0 : value - min + 1), and the slot table maps each
+// slot to its group id, assigned in first-encounter row order like the
+// hash path, so groups, extents and ngroups match it bit for bit.
+template <typename T>
+Result<GroupResult> DenseGroup(const std::vector<T>& v, const BAT* prev,
+                               size_t prev_ngroups, const KeyRange<T>& r) {
+  size_t n = v.size();
+  uint64_t width = r.span + 2;
+  GroupResult res;
+  res.groups = BAT::Make(PhysType::kOid);
+  res.extents = BAT::Make(PhysType::kOid);
+  auto& gids = res.groups->oids();
+  gids.resize(n);
+  auto& extents = res.extents->oids();
+  std::vector<oid_t> slots(
+      static_cast<size_t>(width * (prev == nullptr ? 1 : prev_ngroups)),
+      kOidNil);
+  const oid_t* prev_gids = prev == nullptr ? nullptr : prev->oids().data();
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t base = 0;
+    if (prev_gids != nullptr) {
+      if (prev_gids[i] >= prev_ngroups) {
+        return Status::InvalidArgument(StrFormat(
+            "Group: previous group id %llu at row %zu is not below the "
+            "previous group count %zu",
+            static_cast<unsigned long long>(prev_gids[i]), i, prev_ngroups));
+      }
+      base = prev_gids[i] * width;
+    }
+    uint64_t off = TypeTraits<T>::IsNil(v[i])
+                       ? 0
+                       : static_cast<uint64_t>(v[i]) -
+                             static_cast<uint64_t>(r.min) + 1;
+    oid_t& slot = slots[static_cast<size_t>(base + off)];
+    if (slot == kOidNil) {
+      slot = static_cast<oid_t>(res.ngroups++);
+      extents.push_back(static_cast<oid_t>(i));
+    }
+    gids[i] = slot;
+  }
+  return res;
+}
+
+// Dense grouping when the (previous group, value) domain, one NULL slot
+// per previous group included, holds at most as many slots as there are
+// rows; nullopt sends the caller to the hash path.
+template <typename T>
+std::optional<Result<GroupResult>> TryDenseGroup(const std::vector<T>& v,
+                                                 const BAT* prev,
+                                                 size_t prev_ngroups) {
+  size_t n = v.size();
+  KeyRange<T> r = RangeOf(v);
+  // span + 2 cannot wrap once span < n.
+  if (r.span >= n) return std::nullopt;
+  uint64_t width = r.span + 2;
+  uint64_t outer = prev == nullptr ? 1 : prev_ngroups;
+  if (outer > n / width) return std::nullopt;
+  return DenseGroup(v, prev, prev_ngroups, r);
+}
+
 }  // namespace
 
 Result<GroupResult> Group(const BAT& b, const BAT* prev, size_t prev_ngroups) {
   size_t n = b.Count();
+  if (prev != nullptr && prev->type() != PhysType::kOid) {
+    return Status::InvalidArgument(
+        StrFormat("Group: previous grouping is a %s BAT, not oid",
+                  PhysTypeName(prev->type())));
+  }
   if (prev != nullptr && prev->Count() != n) {
     return Status::Internal("Group: refinement grouping misaligned");
   }
-  (void)prev_ngroups;
+  std::optional<Result<GroupResult>> dense;
+  switch (b.type()) {
+    case PhysType::kBit:
+      dense = TryDenseGroup(b.bits(), prev, prev_ngroups);
+      break;
+    case PhysType::kInt:
+      dense = TryDenseGroup(b.ints(), prev, prev_ngroups);
+      break;
+    case PhysType::kLng:
+      dense = TryDenseGroup(b.lngs(), prev, prev_ngroups);
+      break;
+    case PhysType::kOid:
+      dense = TryDenseGroup(b.oids(), prev, prev_ngroups);
+      break;
+    case PhysType::kDbl:
+    case PhysType::kStr:
+      break;
+  }
+  if (dense.has_value()) return std::move(*dense);
   size_t nmorsels = MorselCount(n, kMorselRows);
   if (nmorsels <= 1 || ThreadPool::Get().thread_count() <= 1) {
     return SequentialGroup(b, prev, n);

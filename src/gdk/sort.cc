@@ -11,7 +11,9 @@
 // Typed fast paths avoid per-comparison type dispatch: each numeric key
 // column is pre-encoded into an order-preserving uint64 sort key (nil maps
 // below every value, matching MonetDB's "nil is smallest"), and string
-// columns are pre-decoded into string_views with a nil flag.
+// columns are pre-decoded into string_views with a nil flag. Top-k over a
+// single numeric key computes the same sort key as it reads each row, so it
+// allocates in proportion to k, not to the input.
 
 #include <algorithm>
 #include <cstdint>
@@ -158,23 +160,46 @@ void ParallelSortPermutation(std::vector<oid_t>* idx, const Less& less) {
   }
 }
 
-// Invoke `fn` with the total-order comparator for the prepared key columns:
-// a single numeric key compares its uint64 encodings directly, everything
-// else walks the column list; the row id breaks every tie. The one factory
-// serves both the full sort and FirstN, so the top-k contract ("FirstN ==
-// sort + slice, bit for bit") cannot drift between two comparator copies.
+// Key sources for a single numeric key: each maps a row to its
+// order-preserving uint64 sort key. The full sort compares every row
+// O(log n) times, so it reads PrepareCol's encoded copy; top-k compares
+// most rows once, against the heap top, so it encodes on read and never
+// writes the n-row copy.
+struct EncodedKey {
+  const uint64_t* keys;
+  uint64_t operator()(oid_t row) const { return keys[row]; }
+};
+template <typename T>
+struct KeyOnRead {
+  const T* vals;
+  uint64_t operator()(oid_t row) const { return SortKey(vals[row]); }
+};
+
+// Invoke `fn` with the total-order comparator over a key source: one
+// numeric column's row -> sort key map (`key`, `desc`), or the prepared key
+// columns. A single numeric prepared column compares through the first
+// overload with its encoded keys; everything else walks the column list.
+// The row id breaks every tie. The one factory serves both the full sort
+// and FirstN, so the top-k contract ("FirstN == sort + slice, bit for bit")
+// cannot drift between two comparator copies.
+template <typename Key, typename Fn>
+auto WithComparator(Key key, bool desc, Fn fn) {
+  if (!desc) {
+    return fn([key](oid_t a, oid_t b) {
+      uint64_t ka = key(a), kb = key(b);
+      return ka != kb ? ka < kb : a < b;
+    });
+  }
+  return fn([key](oid_t a, oid_t b) {
+    uint64_t ka = key(a), kb = key(b);
+    return ka != kb ? ka > kb : a < b;
+  });
+}
+
 template <typename Fn>
 auto WithComparator(const std::vector<SortCol>& cols, Fn fn) {
   if (cols.size() == 1 && !cols[0].is_str) {
-    const std::vector<uint64_t>& k = cols[0].keys;
-    if (!cols[0].desc) {
-      return fn([&k](oid_t a, oid_t b) {
-        return k[a] != k[b] ? k[a] < k[b] : a < b;
-      });
-    }
-    return fn([&k](oid_t a, oid_t b) {
-      return k[a] != k[b] ? k[a] > k[b] : a < b;
-    });
+    return WithComparator(EncodedKey{cols[0].keys.data()}, cols[0].desc, fn);
   }
   return fn([&cols](oid_t a, oid_t b) {
     for (const SortCol& c : cols) {
@@ -246,13 +271,44 @@ std::vector<oid_t> FirstNPermutation(size_t n, size_t k, const Less& less) {
   return cand;
 }
 
-// First k of the prepared key columns, through the shared comparator
-// factory (the exact order SortedPermutation uses).
-std::vector<oid_t> FirstNOfCols(size_t n, size_t k,
-                                const std::vector<SortCol>& cols) {
-  return WithComparator(cols, [n, k](const auto& less) {
+// First k rows of the stable order over `keys`, through the shared
+// comparator factory (the exact order SortedPermutation uses). A single
+// numeric key reads its sort keys on the fly; other specs prepare their
+// columns as the full sort does.
+std::vector<oid_t> FirstNOfKeys(const std::vector<const BAT*>& keys,
+                                const std::vector<bool>& desc, size_t k) {
+  size_t n = keys[0]->Count();
+  auto first_n = [n, k](const auto& less) {
     return FirstNPermutation(n, k, less);
-  });
+  };
+  if (keys.size() == 1) {
+    const BAT& b = *keys[0];
+    switch (b.type()) {
+      case PhysType::kBit:
+        return WithComparator(KeyOnRead<uint8_t>{b.bits().data()}, desc[0],
+                              first_n);
+      case PhysType::kInt:
+        return WithComparator(KeyOnRead<int32_t>{b.ints().data()}, desc[0],
+                              first_n);
+      case PhysType::kLng:
+        return WithComparator(KeyOnRead<int64_t>{b.lngs().data()}, desc[0],
+                              first_n);
+      case PhysType::kDbl:
+        return WithComparator(KeyOnRead<double>{b.dbls().data()}, desc[0],
+                              first_n);
+      case PhysType::kOid:
+        return WithComparator(KeyOnRead<uint64_t>{b.oids().data()}, desc[0],
+                              first_n);
+      case PhysType::kStr:
+        break;
+    }
+  }
+  std::vector<SortCol> cols;
+  cols.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    cols.push_back(PrepareCol(*keys[i], desc[i]));
+  }
+  return WithComparator(cols, first_n);
 }
 
 // Key-tuple equality of rows a and b: the sort's tie relation, through the
@@ -493,12 +549,7 @@ Result<BATPtr> FirstN(const std::vector<const BAT*>& keys,
     return out;
   }
 
-  std::vector<SortCol> cols;
-  cols.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    cols.push_back(PrepareCol(*keys[i], desc[i]));
-  }
-  out->oids() = FirstNOfCols(n, k, cols);
+  out->oids() = FirstNOfKeys(keys, desc, k);
   Telemetry().firstn_heap++;
   return out;
 }

@@ -477,15 +477,26 @@ std::vector<OpDef> BuildOps() {
          const MalValue& c = ctx->Reg(in.args[0]);
          const MalValue& t = ctx->Reg(in.args[1]);
          const MalValue& el = ctx->Reg(in.args[2]);
+         BATPtr cond = c.IsBat() ? c.bat : nullptr;
          if (c.IsScalar()) {
-           // Fully scalar condition: pick the arm directly.
-           SetRet(ctx, in, 0, c.scalar.IsTrue() ? t : el);
-           return Status::OK();
+           // Scalar condition over scalar arms: pick the arm directly.
+           const MalValue* bat_arm =
+               t.IsBat() ? &t : el.IsBat() ? &el : nullptr;
+           if (bat_arm == nullptr) {
+             SetRet(ctx, in, 0, c.scalar.IsTrue() ? t : el);
+             return Status::OK();
+           }
+           // A BAT arm makes the result row-aligned with it, whichever arm
+           // is chosen: broadcast the condition to the BAT's length, so the
+           // chosen arm is broadcast and typed exactly as under a BAT
+           // condition.
+           cond = BAT::MakeConst(ScalarValue::Bit(c.scalar.IsTrue()),
+                                 bat_arm->bat->Count());
          }
-         if (!c.IsBat()) return Status::Internal("bad CASE condition");
+         if (cond == nullptr) return Status::Internal("bad CASE condition");
          SCIQL_ASSIGN_OR_RETURN(
              BATPtr out,
-             gdk::IfThenElse(*c.bat, t.IsBat() ? t.bat.get() : nullptr,
+             gdk::IfThenElse(*cond, t.IsBat() ? t.bat.get() : nullptr,
                              t.IsScalar() ? &t.scalar : nullptr,
                              el.IsBat() ? el.bat.get() : nullptr,
                              el.IsScalar() ? &el.scalar : nullptr));

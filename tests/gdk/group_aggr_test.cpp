@@ -2,7 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/gdk/kernels.h"
 
 #include "tests/support/telemetry_probe.h"
@@ -52,6 +60,218 @@ TEST(GroupTest, StringGrouping) {
   auto g = Group(*s, nullptr, 0);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->ngroups, 2u);
+}
+
+// First-encounter grouping reference: every (previous group, value or
+// NULL) pair gets the next id when first seen, and its first row is the
+// extent.
+struct RefGroups {
+  std::vector<oid_t> groups;
+  std::vector<oid_t> extents;
+};
+
+template <typename T>
+RefGroups ReferenceGroup(const std::vector<T>& v,
+                         const std::vector<oid_t>* prev) {
+  std::map<std::pair<oid_t, std::optional<T>>, oid_t> ids;
+  RefGroups r;
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::optional<T> key;
+    if (!TypeTraits<T>::IsNil(v[i])) key = v[i];
+    auto [it, added] = ids.emplace(
+        std::make_pair(prev == nullptr ? 0 : (*prev)[i], key),
+        static_cast<oid_t>(ids.size()));
+    if (added) r.extents.push_back(i);
+    r.groups.push_back(it->second);
+  }
+  return r;
+}
+
+template <typename T>
+BATPtr Column(std::vector<T> vals) {
+  auto b = BAT::Make(TypeTraits<T>::kType);
+  b->template Data<T>() = std::move(vals);
+  return b;
+}
+
+// Groups `b` (refining `prev` if given) and checks the result against the
+// reference, field by field.
+template <typename T>
+void ExpectMatchesReference(const BAT& b, const GroupResult* prev) {
+  auto g = Group(b, prev == nullptr ? nullptr : prev->groups.get(),
+                 prev == nullptr ? 0 : prev->ngroups);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  RefGroups ref = ReferenceGroup(
+      b.template Data<T>(), prev == nullptr ? nullptr : &prev->groups->oids());
+  EXPECT_EQ(g->ngroups, ref.extents.size());
+  EXPECT_EQ(g->groups->oids(), ref.groups);
+  EXPECT_EQ(g->extents->oids(), ref.extents);
+}
+
+constexpr int32_t kIntMax = std::numeric_limits<int32_t>::max();
+constexpr int64_t kLngMax = std::numeric_limits<int64_t>::max();
+
+TEST(DenseGroupTest, IntNullsAndNegatives) {
+  // Span 8 plus the NULL slot: 10 slots for 10 rows.
+  auto b = Column<int32_t>({-3, kIntNil, 5, -3, 0, kIntNil, 5, 2, -1, 0});
+  ExpectMatchesReference<int32_t>(*b, nullptr);
+  // All NULL, and a single value.
+  ExpectMatchesReference<int32_t>(*Column<int32_t>({kIntNil, kIntNil}),
+                                  nullptr);
+  ExpectMatchesReference<int32_t>(*Column<int32_t>({42, 42, 42}), nullptr);
+}
+
+TEST(DenseGroupTest, IntExtremes) {
+  // Narrow domains at either end of INT32, with the NULL sentinel
+  // (INT32_MIN) one below the smallest value.
+  ExpectMatchesReference<int32_t>(
+      *Column<int32_t>({kIntMax, kIntMax - 1, kIntNil, kIntMax, kIntNil}),
+      nullptr);
+  ExpectMatchesReference<int32_t>(
+      *Column<int32_t>({kIntNil + 2, kIntNil, kIntNil + 1, kIntNil + 2}),
+      nullptr);
+  // Both ends at once: too wide, grouped by hash.
+  ExpectMatchesReference<int32_t>(
+      *Column<int32_t>({kIntMax, kIntNil + 1, kIntNil, kIntMax, 0}), nullptr);
+}
+
+TEST(DenseGroupTest, BitAndOidKeys) {
+  ExpectMatchesReference<uint8_t>(
+      *Column<uint8_t>({1, 0, kBitNil, 1, 0, 0, kBitNil}), nullptr);
+  // oid values just under the NULL sentinel (UINT64_MAX).
+  ExpectMatchesReference<uint64_t>(
+      *Column<uint64_t>({kOidNil - 1, kOidNil, kOidNil - 3, kOidNil - 1,
+                         kOidNil}),
+      nullptr);
+  ExpectMatchesReference<uint64_t>(*Column<uint64_t>({7, 5, 7, 6, 5, 5}),
+                                   nullptr);
+}
+
+TEST(DenseGroupTest, LngSpanningInt64FallsBack) {
+  // max - min = 2^64 - 2: the width in signed (or +2 unsigned) arithmetic
+  // would overflow; the kernel must take the hash path instead.
+  auto b = Column<int64_t>({kLngNil + 1, kLngMax, kLngNil, kLngMax, 0,
+                            kLngNil + 1, kLngNil});
+  ExpectMatchesReference<int64_t>(*b, nullptr);
+  // A narrow lng domain far from zero stays dense.
+  ExpectMatchesReference<int64_t>(
+      *Column<int64_t>({kLngMax, kLngMax - 2, kLngNil, kLngMax - 1, kLngMax}),
+      nullptr);
+}
+
+TEST(DenseGroupTest, WidthAtTheRowCountBoundary) {
+  // Span 3: width 5 slots. Five rows are dense-eligible, four are not; both
+  // must give the reference grouping.
+  ExpectMatchesReference<int32_t>(*Column<int32_t>({10, 13, kIntNil, 10, 11}),
+                                  nullptr);
+  ExpectMatchesReference<int32_t>(*Column<int32_t>({10, 13, kIntNil, 10}),
+                                  nullptr);
+}
+
+TEST(DenseGroupTest, RefinementThroughPrev) {
+  auto a = Column<int32_t>({1, 1, 2, 2, kIntNil, 1, 2, kIntNil, 1, 2, 1, 2});
+  auto b = Column<int32_t>({5, 6, 5, 5, 6, kIntNil, 6, 6, 5, kIntNil, 6, 5});
+  auto g1 = Group(*a, nullptr, 0);
+  ASSERT_TRUE(g1.ok());
+  ExpectMatchesReference<int32_t>(*b, &*g1);
+  // Refining by a bit key too.
+  auto c = Column<uint8_t>({1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1});
+  ExpectMatchesReference<uint8_t>(*c, &*g1);
+}
+
+TEST(DenseGroupTest, LargeInputMatchesReferenceAtAnyThreadCount) {
+  constexpr size_t kN = 3 * kMorselRows + 77;
+  Rng rng(91);
+  std::vector<int32_t> vals(kN);
+  for (auto& v : vals) {
+    v = rng.Below(50) == 0 ? kIntNil
+                           : static_cast<int32_t>(rng.Below(1001)) - 500;
+  }
+  auto b = Column<int32_t>(vals);
+  auto& pool = ThreadPool::Get();
+  for (int threads : {1, 4}) {
+    pool.SetThreadCount(threads);
+    ExpectMatchesReference<int32_t>(*b, nullptr);
+  }
+  pool.SetThreadCount(1);
+}
+
+TEST(DenseGroupTest, SameIdsAsTheHashPath) {
+  // A DOUBLE column always groups by hash; holding the same integers (NaN
+  // for NULL), it must get exactly the ids the dense INT grouping gets.
+  Rng rng(92);
+  constexpr size_t kN = 2 * kMorselRows + 5;
+  auto ints = BAT::Make(PhysType::kInt);
+  auto dbls = BAT::Make(PhysType::kDbl);
+  for (size_t i = 0; i < kN; ++i) {
+    bool nil = rng.Below(20) == 0;
+    int32_t v = static_cast<int32_t>(rng.Below(300)) - 150;
+    ints->ints().push_back(nil ? kIntNil : v);
+    dbls->dbls().push_back(nil ? DblNil() : static_cast<double>(v));
+  }
+  auto& pool = ThreadPool::Get();
+  for (int threads : {1, 4}) {
+    pool.SetThreadCount(threads);
+    auto dense = Group(*ints, nullptr, 0);
+    auto hashed = Group(*dbls, nullptr, 0);
+    ASSERT_TRUE(dense.ok());
+    ASSERT_TRUE(hashed.ok());
+    EXPECT_EQ(dense->ngroups, hashed->ngroups);
+    EXPECT_EQ(dense->groups->oids(), hashed->groups->oids());
+    EXPECT_EQ(dense->extents->oids(), hashed->extents->oids());
+  }
+  pool.SetThreadCount(1);
+}
+
+TEST(DenseGroupTest, BadPreviousGroupingIsAStatus) {
+  // Two previous groups times width 3: six slots for six rows, dense.
+  auto b = Column<int32_t>({1, 2, 1, 2, 1, 2});
+  // A previous group id not below the previous group count.
+  auto prev = Column<uint64_t>({0, 1, 2, 0, 1, 0});
+  auto g = Group(*b, prev.get(), 2);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), Status::Code::kInvalidArgument)
+      << g.status().ToString();
+  // A previous grouping that is not an oid BAT.
+  auto not_oid = Column<int32_t>({0, 1, 0, 1, 0, 1});
+  auto g2 = Group(*b, not_oid.get(), 2);
+  ASSERT_FALSE(g2.ok());
+  EXPECT_EQ(g2.status().code(), Status::Code::kInvalidArgument)
+      << g2.status().ToString();
+}
+
+TEST(AggrTest, GroupIdAtOrAboveTheCountIsAStatus) {
+  auto v = IntBat({1, 2, 3, 4, 5});
+  auto groups = BAT::Make(PhysType::kOid);
+  groups->oids() = {0, 2, 1, 0, 1};  // 2 is not below ngroups = 2
+  for (AggOp op : {AggOp::kCountStar, AggOp::kCount, AggOp::kSum,
+                   AggOp::kAvg, AggOp::kMin, AggOp::kMax}) {
+    auto r = GroupedAggregate(op, v.get(), *groups, 2);
+    ASSERT_FALSE(r.ok()) << AggOpName(op);
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument)
+        << r.status().ToString();
+  }
+  auto s = BAT::Make(PhysType::kStr);
+  for (const char* x : {"a", "b", "c", "d", "e"}) {
+    ASSERT_TRUE(s->Append(ScalarValue::Str(x)).ok());
+  }
+  EXPECT_FALSE(GroupedAggregate(AggOp::kMin, s.get(), *groups, 2).ok());
+  // The per-morsel path checks too: one bad id in the middle of a morsel,
+  // then one among the last rows.
+  constexpr size_t kN = 2 * kMorselRows + 3;
+  auto big = BAT::Make(PhysType::kInt);
+  big->ints().assign(kN, 1);
+  ThreadPool::Get().SetThreadCount(4);
+  for (size_t bad_row : {kMorselRows + 4097, kN - 1}) {
+    auto big_groups = BAT::Make(PhysType::kOid);
+    big_groups->oids().assign(kN, 0);
+    big_groups->oids()[bad_row] = 5;
+    for (AggOp op : {AggOp::kCountStar, AggOp::kCount, AggOp::kSum}) {
+      EXPECT_FALSE(GroupedAggregate(op, big.get(), *big_groups, 3).ok())
+          << AggOpName(op) << " row " << bad_row;
+    }
+  }
+  ThreadPool::Get().SetThreadCount(1);
 }
 
 TEST(AggrTest, SumWidensToLng) {

@@ -476,7 +476,8 @@ TEST(ParallelDeterminism, FirstNEqualsSortThenSliceAtAnyThreadCount) {
           << "k=" << k << " threads=" << threads;
     }
   }
-  // Descending keys go through the generic comparator.
+  // Descending keys: with the order index cached, a window of its run
+  // reversal.
   pool.SetThreadCount(1);
   auto full_desc = OrderIndex({b.get()}, {true}).take();
   auto expect_desc = full_desc->Slice(0, 100);
@@ -485,7 +486,78 @@ TEST(ParallelDeterminism, FirstNEqualsSortThenSliceAtAnyThreadCount) {
     auto topk = FirstN({b.get()}, {true}, 100).take();
     EXPECT_TRUE(BatsBitIdentical(*expect_desc, *topk)) << threads;
   }
+
+  // DOUBLE keys through the heap path, which encodes each key on read: NaN
+  // (the DOUBLE NULL) must sort first ascending and last descending, and
+  // -0.0 must tie 0.0 (the row id decides), exactly as in the full sort's
+  // encoded keys. `sparse` puts NaN on every 5000th row and alternating
+  // -0.0/0.0 on every 1000th; `dense_nan` is NaN on all but every 20th
+  // row, so a descending k reaches past the values into the NaN tail.
+  auto sparse = DblColumn(kRows, 61, false);
+  auto dense_nan = DblColumn(kRows, 62, false);
+  for (size_t i = 0; i < kRows; ++i) {
+    double& v = sparse->dbls()[i];
+    v = std::fabs(v);
+    if (i % 1000 == 0) v = (i / 1000) % 2 == 0 ? -0.0 : 0.0;
+    if (i % 5000 == 7) v = DblNil();
+    double& w = dense_nan->dbls()[i];
+    if (i % 20 != 0) w = DblNil();
+    if (i % 400 == 0) w = (i / 400) % 2 == 0 ? 0.0 : -0.0;
+  }
+  struct DblCase {
+    BAT* col;
+    bool desc;
+    size_t k;
+  };
+  std::vector<DblCase> dbl_cases = {
+      {sparse.get(), false, 1},      {sparse.get(), false, 100},
+      {sparse.get(), false, 4096},   {sparse.get(), true, 100},
+      {dense_nan.get(), true, 12000}, {dense_nan.get(), false, 100},
+  };
+  for (const DblCase& c : dbl_cases) {
+    pool.SetThreadCount(1);
+    c.col->InvalidateOrderIndex();
+    auto expect = OrderIndex({c.col}, {c.desc}).take()->Slice(0, c.k);
+    for (int threads : {1, 4}) {
+      pool.SetThreadCount(threads);
+      c.col->InvalidateOrderIndex();  // force the bounded-heap path
+      uint64_t heaps = Telemetry().firstn_heap.load();
+      auto topk = FirstN({c.col}, {c.desc}, c.k).take();
+      EXPECT_EQ(Telemetry().firstn_heap.load(), heaps + 1);
+      EXPECT_TRUE(BatsBitIdentical(*expect, *topk))
+          << "desc=" << c.desc << " k=" << c.k << " threads=" << threads;
+    }
+  }
   pool.SetThreadCount(1);
+}
+
+TEST(ParallelDeterminism, PartitionedHashGroupAndRefinement) {
+  // DOUBLE keys and a wide-range lng key always group by hash, so at 8
+  // threads these run the partitioned build and its morsel-order merge.
+  auto a = DblColumn(kRows, 63, true);
+  for (auto& v : a->dbls()) {
+    if (!std::isnan(v)) v = std::floor(v / 7.0);
+  }
+  auto b = BAT::Make(PhysType::kLng);
+  Rng rng(64);
+  for (size_t i = 0; i < kRows; ++i) {
+    int64_t v = static_cast<int64_t>(rng.Below(50)) << 40;
+    b->lngs().push_back(rng.Below(41) == 0 ? kLngNil : v);
+  }
+  auto& pool = ThreadPool::Get();
+  pool.SetThreadCount(1);
+  auto g1s = Group(*a, nullptr, 0).take();
+  auto g2s = Group(*b, g1s.groups.get(), g1s.ngroups).take();
+  pool.SetThreadCount(8);
+  auto g1p = Group(*a, nullptr, 0).take();
+  auto g2p = Group(*b, g1p.groups.get(), g1p.ngroups).take();
+  pool.SetThreadCount(1);
+  EXPECT_EQ(g1s.ngroups, g1p.ngroups);
+  EXPECT_TRUE(BatsBitIdentical(*g1s.groups, *g1p.groups));
+  EXPECT_TRUE(BatsBitIdentical(*g1s.extents, *g1p.extents));
+  EXPECT_EQ(g2s.ngroups, g2p.ngroups);
+  EXPECT_TRUE(BatsBitIdentical(*g2s.groups, *g2p.groups));
+  EXPECT_TRUE(BatsBitIdentical(*g2s.extents, *g2p.extents));
 }
 
 TEST(ParallelDeterminism, PartitionedGroupDuplicateHeavy) {

@@ -372,6 +372,80 @@ TEST(MalModulesTest, NegativeCountsFailWithStatus) {
   GetVerifyControls() = saved;
 }
 
+// Hand-built plans that hand the group and aggregate kernels inconsistent
+// inputs get a status naming the op: a non-oid previous grouping used to
+// throw std::bad_variant_access out of Run, and a group id at or above the
+// group count indexed past the aggregate's accumulators.
+TEST(MalModulesTest, BadGroupIdsFailWithStatus) {
+  VerifyControls saved = GetVerifyControls();
+  GetVerifyControls().enabled = false;
+  struct Case {
+    std::string op;
+    std::string says;
+    std::function<void(MalProgram*)> emit;
+  };
+  auto lng = [](MalProgram* p, int64_t v) {
+    return p->Const(ScalarValue::Lng(v));
+  };
+  auto vals = [](MalProgram* p) { return SeriesReg(p, 0, 1, 3); };
+  // Group ids 0, 1, 2 against a group count of 2.
+  auto gids = [&](MalProgram* p) {
+    return p->EmitR("bat", "dense", {lng(p, 3)}, "g");
+  };
+  std::vector<Case> cases = {
+      {"group.subgroup", "not oid",
+       [&](MalProgram* p) {
+         int b = vals(p);
+         p->Emit("group", "subgroup",
+                 {p->NewReg("g"), p->NewReg("e"), p->NewReg("n")},
+                 {b, b, lng(p, 3)});
+       }},
+      {"aggr.count_star", "group id",
+       [&](MalProgram* p) {
+         p->EmitR("aggr", "count_star", {gids(p), lng(p, 2)}, "r");
+       }},
+  };
+  for (const char* fn : {"sum", "avg", "min", "max", "count"}) {
+    cases.push_back({std::string("aggr.") + fn, "group id",
+                     [&, fn](MalProgram* p) {
+                       p->EmitR("aggr", fn, {vals(p), gids(p), lng(p, 2)},
+                                "r");
+                     }});
+  }
+  for (const Case& c : cases) {
+    MalProgram prog;
+    c.emit(&prog);
+    MalContext ctx(nullptr);
+    Status st = MalEngine::Global().Run(prog, &ctx);
+    ASSERT_FALSE(st.ok()) << c.op;
+    EXPECT_NE(st.message().find(c.op), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find(c.says), std::string::npos) << st.ToString();
+  }
+  GetVerifyControls() = saved;
+}
+
+// A scalar CASE condition with a BAT arm yields a BAT row-aligned with the
+// arm, whichever arm the condition picks.
+TEST(MalModulesTest, ScalarConditionBroadcastsTheChosenArm) {
+  for (bool pick_then : {true, false}) {
+    MalProgram prog;
+    int col = SeriesReg(&prog, 10, 1, 14);  // 10 11 12 13
+    int out = prog.EmitR("batcalc", "ifthenelse",
+                         {prog.Const(ScalarValue::Bit(pick_then)), col,
+                          prog.Const(ScalarValue::Lng(7))},
+                         "r");
+    MalContext ctx(nullptr);
+    ASSERT_TRUE(MalEngine::Global().Run(prog, &ctx).ok());
+    ASSERT_TRUE(ctx.Reg(out).IsBat()) << pick_then;
+    const gdk::BAT& b = *ctx.Reg(out).bat;
+    ASSERT_EQ(b.Count(), 4u);
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(b.GetScalar(i).AsInt64(),
+                pick_then ? static_cast<int64_t>(10 + i) : 7);
+    }
+  }
+}
+
 // Without the verifier, an instruction whose result register is a constant
 // or an object fails at dispatch instead of writing over the program.
 TEST(MalModulesTest, ResultsMustBeVariables) {
